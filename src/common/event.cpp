@@ -1,15 +1,15 @@
-#include "analysis/sched_point.hpp"
+#include "common/event.hpp"
 
 namespace wcq::analysis {
 
 namespace detail {
-std::atomic<const SchedHooks*> g_hooks{nullptr};
+std::atomic<const EventHooks*> g_hooks{nullptr};
 }  // namespace detail
 
 namespace {
 
-// The mutation model's one-entry "store buffer" (sched_point.hpp). At most
-// one store is parked per thread: ring code routes only the threshold re-arm
+// The mutation model's one-entry "store buffer" (event.hpp). At most one
+// store is parked per thread: ring code routes only the threshold re-arm
 // through it, and a second defer drains the first — matching a real store
 // buffer, which cannot reorder two stores to the same location.
 struct DeferredStore {
@@ -28,16 +28,17 @@ void flush_deferred() {
 }
 
 namespace detail {
-void sched_point_slow(Site site) {
-  const SchedHooks* h = g_hooks.load(std::memory_order_acquire);
-  if (h != nullptr) h->yield(h->ctx, site);
-  // Drain after the yield returns: everything the scheduler ran in between
-  // saw the pre-store state, which is the reordering window being modeled.
-  flush_deferred();
+void dispatch(Event kind, std::uint64_t rank, std::uint64_t aux) {
+  const EventHooks* h = g_hooks.load(std::memory_order_acquire);
+  if (h != nullptr) h->event(h->ctx, kind, rank, aux);
+  // Drain after a preempting kind's yield returns: everything the scheduler
+  // ran in between saw the pre-store state, which is the reordering window
+  // being modeled. Counter and payload kinds are not yield points.
+  if (event_traits(kind).preempts) flush_deferred();
 }
 }  // namespace detail
 
-void install(const SchedHooks* hooks) {
+void install(const EventHooks* hooks) {
   detail::g_hooks.store(hooks, std::memory_order_release);
 }
 

@@ -6,23 +6,27 @@
 // amortize the fq half away; these counters make that claim *measurable* on
 // hosts where wall-clock throughput is noise (the 1-core CI runner).
 //
-// Three counters, incremented at the sites inside the rings and registry:
+// Four counters, bumped by the counted WCQ_EVENT kinds (common/event.hpp
+// maps each kind to its counter) inside the rings, registry and shards:
 //   faa       — F&A (or the slow path's published-increment CAS2) on a
-//               shared Head/Tail counter line
+//               shared Head/Tail counter line (kTailFaa, kHeadFaa,
+//               kSlowFaaGranted)
 //   threshold — RMW/store traffic on a shared Threshold line
-//   registry  — ThreadRegistry::tid()/high_water() resolutions, i.e. the
-//               thread_local/global-registry lookups the per-thread session
-//               handles (DESIGN.md §10) exist to hoist off the hot path.
+//               (kThresholdArm, kThresholdDec)
+//   registry  — ThreadRegistry::tid()/high_water() resolutions
+//               (kRegistryLookup), i.e. the thread_local/global-registry
+//               lookups the per-thread session handles (DESIGN.md §10)
+//               exist to hoist off the hot path.
 //               Counted inside the registry itself so every layer's lookup
 //               is captured; the handle CI gate (bench/check_ringops.py)
 //               requires the explicit-handle path to stay ≤ 1 per op.
 //   remote_steal — ShardedQueue operations that *succeeded* on a shard homed
 //               on a different NUMA node than the calling session
-//               (DESIGN.md §12). Failed probes of remote shards during a
-//               sweep are free of side effects and not counted; a nonzero
-//               count means payload actually crossed the interconnect. The
-//               topology CI gate (bench/check_topology.py) requires exactly
-//               0 under node-partitioned placement.
+//               (kRemoteSteal, DESIGN.md §12). Failed probes of remote
+//               shards during a sweep are free of side effects and not
+//               counted; a nonzero count means payload actually crossed the
+//               interconnect. The topology CI gate (bench/check_topology.py)
+//               requires exactly 0 under node-partitioned placement.
 //
 // The counters are plain thread-local increments (one add on a core-private
 // line, no atomics), cheap enough to keep unconditionally enabled; the bench
@@ -50,11 +54,6 @@ inline Counters& tls_counters() noexcept {
   thread_local Counters c{};
   return c;
 }
-
-inline void count_faa() { ++tls_counters().faa; }
-inline void count_threshold() { ++tls_counters().threshold; }
-inline void count_registry() { ++tls_counters().registry; }
-inline void count_remote_steal() { ++tls_counters().remote_steal; }
 
 // Snapshot of this thread's counters (diff two snapshots around a workload).
 inline Counters snapshot() { return tls_counters(); }

@@ -42,10 +42,9 @@
 #include <cstddef>
 #include <optional>
 
-#include "analysis/sched_point.hpp"
 #include "common/align.hpp"
 #include "common/backoff.hpp"
-#include "common/op_counters.hpp"
+#include "common/event.hpp"
 #include "core/entry.hpp"
 #include "core/remap.hpp"
 #include "core/session_guard.hpp"
@@ -98,9 +97,8 @@ class MpscRing {
   void enqueue_bulk(const u64* indices, std::size_t n) {
     if (n == 0) return;
     if (n == 1) return enqueue(indices[0]);
-    WCQ_SCHED_POINT(kTailFaa);
+    WCQ_EVENT(kTailFaa);
     const u64 base = tail_.value.fetch_add(n, std::memory_order_seq_cst);
-    opcount::count_faa();
     std::size_t done = 0;
     for (std::size_t k = 0; k < n && done < n; ++k) {
       if (enq_at(base + k, indices[done])) ++done;
@@ -194,9 +192,8 @@ class MpscRing {
   enum class Step { kGot, kEmpty, kSkip };
 
   bool try_enq(u64 index) {
-    WCQ_SCHED_POINT(kTailFaa);
+    WCQ_EVENT(kTailFaa);
     const u64 t = tail_.value.fetch_add(1, std::memory_order_seq_cst);
-    opcount::count_faa();
     return enq_at(t, index);
   }
 
@@ -214,7 +211,7 @@ class MpscRing {
           (e.safe || head_.value.load(std::memory_order_seq_cst) <= t) &&
           !codec_.is_live_index(e.index)) {
         const u64 fresh = codec_.pack(cycle_t, true, true, index);
-        WCQ_SCHED_POINT(kEntryUpdate);
+        WCQ_EVENT(kEntryUpdate);
         if (!entries_[j].compare_exchange_strong(raw, fresh,
                                                  std::memory_order_seq_cst)) {
           continue;  // re-check with the observed entry
@@ -239,7 +236,7 @@ class MpscRing {
     const u64 cycle_h = codec_.cycle_of(h);
     u64 raw = entries_[j].load(std::memory_order_acquire);
     for (;;) {
-      WCQ_SCHED_POINT(kEntryUpdate);
+      WCQ_EVENT(kEntryUpdate);
       const Entry e = codec_.unpack(raw);
       if (e.cycle == cycle_h) {
         if (codec_.is_live_index(e.index)) {
@@ -263,7 +260,7 @@ class MpscRing {
       // e.cycle < cycle_h: rank h's enqueuer has not delivered. Decide
       // empty-vs-late by Tail; the seq_cst load orders against producers'
       // seq_cst Tail F&As, making the "no completed enqueue" claim exact.
-      WCQ_SCHED_POINT(kThresholdCheck);
+      WCQ_EVENT(kThresholdCheck);
       if (tail_.value.load(std::memory_order_seq_cst) <= h) {
         return Step::kEmpty;
       }

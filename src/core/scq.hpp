@@ -17,10 +17,9 @@
 #include <cstddef>
 #include <optional>
 
-#include "analysis/sched_point.hpp"
 #include "common/align.hpp"
 #include "common/backoff.hpp"
-#include "common/op_counters.hpp"
+#include "common/event.hpp"
 #include "core/entry.hpp"
 #include "core/remap.hpp"
 
@@ -68,7 +67,7 @@ class SCQ {
 
   // Removes and returns the oldest index, or nullopt when empty.
   std::optional<u64> dequeue() {
-    WCQ_SCHED_POINT(kThresholdCheck);
+    WCQ_EVENT(kThresholdCheck);
     if (threshold_.value.load(std::memory_order_acquire) < 0) {
       return std::nullopt;  // empty fast-exit (Fig 3 line 7)
     }
@@ -107,9 +106,8 @@ class SCQ {
   void enqueue_bulk(const u64* indices, std::size_t n) {
     if (n == 0) return;
     if (n == 1) return enqueue(indices[0]);
-    WCQ_SCHED_POINT(kTailFaa);
+    WCQ_EVENT(kTailFaa);
     const u64 base = tail_.value.fetch_add(n, std::memory_order_seq_cst);
-    opcount::count_faa();
     std::size_t done = 0;
     for (std::size_t k = 0; k < n && done < n; ++k) {
       if (enq_at(base + k, indices[done], /*reset_thld=*/false)) ++done;
@@ -125,7 +123,7 @@ class SCQ {
   // contract. Every reserved rank is processed (see deq_at).
   std::size_t dequeue_bulk(u64* out, std::size_t n) {
     if (n == 0) return 0;
-    WCQ_SCHED_POINT(kThresholdCheck);
+    WCQ_EVENT(kThresholdCheck);
     if (threshold_.value.load(std::memory_order_acquire) < 0) {
       return 0;  // empty fast-exit, no ranks burned
     }
@@ -135,9 +133,8 @@ class SCQ {
       out[0] = *v;
       return 1;
     }
-    WCQ_SCHED_POINT(kHeadFaa);
+    WCQ_EVENT(kHeadFaa);
     const u64 base = head_.value.fetch_add(n, std::memory_order_seq_cst);
-    opcount::count_faa();
     std::size_t got = 0;
     for (std::size_t k = 0; k < n; ++k) {
       u64 idx;
@@ -180,9 +177,8 @@ class SCQ {
   // Fig 3, try_enq. Returns true on success; false means "F&A again"
   // (the slot was unusable for this tail value).
   bool try_enq(u64 index, u64& tail_out) {
-    WCQ_SCHED_POINT(kTailFaa);
+    WCQ_EVENT(kTailFaa);
     const u64 t = tail_.value.fetch_add(1, std::memory_order_seq_cst);
-    opcount::count_faa();
     tail_out = t;
     return enq_at(t, index, /*reset_thld=*/true);
   }
@@ -199,7 +195,7 @@ class SCQ {
           (e.safe || head_.value.load(std::memory_order_seq_cst) <= t) &&
           !codec_.is_live_index(e.index)) {
         const u64 fresh = codec_.pack(cycle_t, true, true, index);
-        WCQ_SCHED_POINT(kEntryUpdate);
+        WCQ_EVENT(kEntryUpdate);
         if (!entries_[j].compare_exchange_strong(raw, fresh,
                                                  std::memory_order_seq_cst)) {
           continue;  // Fig 3 line 25: re-check with the observed entry
@@ -221,7 +217,7 @@ class SCQ {
     // slack. All cross-thread ordering flows through the guarded store,
     // which stays seq_cst.
     if (threshold_.value.load(std::memory_order_relaxed) != threshold_max()) {
-      WCQ_SCHED_POINT(kThresholdArm);
+      WCQ_EVENT(kThresholdArm);
 #if defined(WCQ_ANALYSIS_MUTATE_THRESHOLD)
       // Mutation self-test (DESIGN.md §11): model the re-arm downgraded to a
       // relaxed store whose visibility is delayed past the next scheduling
@@ -230,15 +226,13 @@ class SCQ {
 #else
       threshold_.value.store(threshold_max(), std::memory_order_seq_cst);
 #endif
-      opcount::count_threshold();
     }
   }
 
   // Fig 3, try_deq.
   DeqStatus try_deq(u64& index_out) {
-    WCQ_SCHED_POINT(kHeadFaa);
+    WCQ_EVENT(kHeadFaa);
     const u64 h = head_.value.fetch_add(1, std::memory_order_seq_cst);
-    opcount::count_faa();
     return deq_at(h, index_out);
   }
 
@@ -251,7 +245,7 @@ class SCQ {
     const u64 cycle_h = codec_.cycle_of(h);
     u64 raw = entries_[j].load(std::memory_order_acquire);
     for (;;) {
-      WCQ_SCHED_POINT(kEntryUpdate);
+      WCQ_EVENT(kEntryUpdate);
       const Entry e = codec_.unpack(raw);
       if (e.cycle == cycle_h) {
         // Our enqueuer arrived first: consume (atomic OR keeps Cycle/IsSafe).
@@ -276,14 +270,12 @@ class SCQ {
         const u64 t = tail_.value.load(std::memory_order_seq_cst);
         if (t <= h + 1) {
           catchup(t, h + 1);
-          WCQ_SCHED_POINT(kThresholdDec);
+          WCQ_EVENT(kThresholdDec);
           threshold_.value.fetch_sub(1, std::memory_order_seq_cst);
-          opcount::count_threshold();
           return DeqStatus::kEmpty;
         }
       }
-      opcount::count_threshold();
-      WCQ_SCHED_POINT(kThresholdDec);
+      WCQ_EVENT(kThresholdDec);
       if (threshold_.value.fetch_sub(1, std::memory_order_seq_cst) <= 0) {
         return DeqStatus::kEmpty;
       }
@@ -296,7 +288,7 @@ class SCQ {
   // requires the cap for wait-freedom — paper §3.2 "Bounding catchup").
   void catchup(u64 tail, u64 head) {
     for (int i = 0; i < kCatchupMax; ++i) {
-      WCQ_SCHED_POINT(kCatchup);
+      WCQ_EVENT(kCatchup);
       if (tail_.value.compare_exchange_strong(tail, head,
                                               std::memory_order_seq_cst)) {
         return;

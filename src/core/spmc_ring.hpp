@@ -32,10 +32,9 @@
 #include <cstddef>
 #include <optional>
 
-#include "analysis/sched_point.hpp"
 #include "common/align.hpp"
 #include "common/backoff.hpp"
-#include "common/op_counters.hpp"
+#include "common/event.hpp"
 #include "core/entry.hpp"
 #include "core/remap.hpp"
 #include "core/session_guard.hpp"
@@ -91,7 +90,7 @@ class SpmcRing {
 
   // Removes and returns the oldest index, or nullopt when empty.
   std::optional<u64> dequeue() {
-    WCQ_SCHED_POINT(kThresholdCheck);
+    WCQ_EVENT(kThresholdCheck);
     if (threshold_.value.load(std::memory_order_acquire) < 0) {
       return std::nullopt;  // empty fast-exit (Fig 3 line 7)
     }
@@ -111,7 +110,7 @@ class SpmcRing {
   // Batch remove: one Head F&A per span, partial-success contract as SCQ.
   std::size_t dequeue_bulk(u64* out, std::size_t n) {
     if (n == 0) return 0;
-    WCQ_SCHED_POINT(kThresholdCheck);
+    WCQ_EVENT(kThresholdCheck);
     if (threshold_.value.load(std::memory_order_acquire) < 0) {
       return 0;  // empty fast-exit, no ranks burned
     }
@@ -121,9 +120,8 @@ class SpmcRing {
       out[0] = *v;
       return 1;
     }
-    WCQ_SCHED_POINT(kHeadFaa);
+    WCQ_EVENT(kHeadFaa);
     const u64 base = head_.value.fetch_add(n, std::memory_order_seq_cst);
-    opcount::count_faa();
     std::size_t got = 0;
     for (std::size_t k = 0; k < n; ++k) {
       u64 idx;
@@ -191,7 +189,7 @@ class SpmcRing {
     if (t < hd) t = hd;  // producer-side catchup: ranks below Head are dead
     if (n > 1) {
       // Bulk span: reserve n ranks with one store, defer the re-arm.
-      WCQ_SCHED_POINT(kTailFaa);
+      WCQ_EVENT(kTailStore);
       tail_.value.store(t + n, std::memory_order_seq_cst);
       std::size_t done = 0;
       for (std::size_t k = 0; k < n && done < n; ++k) {
@@ -213,7 +211,7 @@ class SpmcRing {
     for (;;) {
       // Reserve rank t: the single-writer store is the F&A's slot in Tail's
       // modification order (DESIGN.md §13).
-      WCQ_SCHED_POINT(kTailFaa);
+      WCQ_EVENT(kTailStore);
       tail_.value.store(t + 1, std::memory_order_seq_cst);
       if (enq_at(t, index, /*reset_thld=*/true)) return;
       ++t;  // rank went dead under a consumer's ⊥-mark; take the next
@@ -234,7 +232,7 @@ class SpmcRing {
           (e.safe || head_.value.load(std::memory_order_seq_cst) <= t) &&
           !codec_.is_live_index(e.index)) {
         const u64 fresh = codec_.pack(cycle_t, true, true, index);
-        WCQ_SCHED_POINT(kEntryUpdate);
+        WCQ_EVENT(kEntryUpdate);
         if (!entries_[j].compare_exchange_strong(raw, fresh,
                                                  std::memory_order_seq_cst)) {
           continue;  // re-check with the observed entry
@@ -262,7 +260,7 @@ class SpmcRing {
   // catch (the §15 falsifiability contract).
   void reset_threshold() {
     if (threshold_.value.load(std::memory_order_relaxed) != threshold_max()) {
-      WCQ_SCHED_POINT(kThresholdArm);
+      WCQ_EVENT(kThresholdArm);
 #if defined(WCQ_ANALYSIS_MUTATE_RELAXED)
       // Mutation self-test: the argued release store over-weakened to a
       // relaxed store whose visibility is deferred past the next scheduling
@@ -271,15 +269,13 @@ class SpmcRing {
 #else
       threshold_.value.store(threshold_max(), std::memory_order_release);
 #endif
-      opcount::count_threshold();
     }
   }
 
   // Fig 3, try_deq — SCQ verbatim.
   DeqStatus try_deq(u64& index_out) {
-    WCQ_SCHED_POINT(kHeadFaa);
+    WCQ_EVENT(kHeadFaa);
     const u64 h = head_.value.fetch_add(1, std::memory_order_seq_cst);
-    opcount::count_faa();
     return deq_at(h, index_out);
   }
 
@@ -292,7 +288,7 @@ class SpmcRing {
     const u64 cycle_h = codec_.cycle_of(h);
     u64 raw = entries_[j].load(std::memory_order_acquire);
     for (;;) {
-      WCQ_SCHED_POINT(kEntryUpdate);
+      WCQ_EVENT(kEntryUpdate);
       const Entry e = codec_.unpack(raw);
       if (e.cycle == cycle_h) {
         entries_[j].fetch_or(codec_.consume_mask(), std::memory_order_seq_cst);
@@ -314,14 +310,12 @@ class SpmcRing {
         if (t <= h + 1) {
           // No catchup: the producer pulls Tail forward itself on its next
           // reservation (consumer_guarded_enqueue's max(Tail, Head)).
-          WCQ_SCHED_POINT(kThresholdDec);
+          WCQ_EVENT(kThresholdDec);
           threshold_.value.fetch_sub(1, std::memory_order_seq_cst);
-          opcount::count_threshold();
           return DeqStatus::kEmpty;
         }
       }
-      opcount::count_threshold();
-      WCQ_SCHED_POINT(kThresholdDec);
+      WCQ_EVENT(kThresholdDec);
       if (threshold_.value.fetch_sub(1, std::memory_order_seq_cst) <= 0) {
         return DeqStatus::kEmpty;
       }

@@ -43,14 +43,12 @@
 
 #include <atomic>
 #include <cassert>
-#include <cstdio>
 #include <optional>
 
-#include "analysis/sched_point.hpp"
 #include "common/align.hpp"
 #include "common/backoff.hpp"
 #include "common/dwcas.hpp"
-#include "common/op_counters.hpp"
+#include "common/event.hpp"
 #include "core/entry.hpp"
 #include "core/remap.hpp"
 #include "runtime/thread_registry.hpp"
@@ -197,7 +195,7 @@ class BasicWCQ {
 
   // Removes and returns the oldest index, or nullopt when empty. Wait-free.
   std::optional<u64> dequeue() {
-    WCQ_SCHED_POINT(kThresholdCheck);
+    WCQ_EVENT(kThresholdCheck);
     if (threshold_.value.load(std::memory_order_acquire) < 0) {
       return std::nullopt;  // empty fast-exit (before paying for a session)
     }
@@ -206,7 +204,7 @@ class BasicWCQ {
   }
 
   std::optional<u64> dequeue(Handle& sh) {
-    WCQ_SCHED_POINT(kThresholdCheck);
+    WCQ_EVENT(kThresholdCheck);
     if (threshold_.value.load(std::memory_order_acquire) < 0) {
       return std::nullopt;  // empty fast-exit
     }
@@ -243,11 +241,9 @@ class BasicWCQ {
     const Entry e = codec_.unpack(raw);
     if (e.cycle == codec_.cycle_of(h) && e.index != codec_.bottom()) {
       assert(e.index != codec_.bottom_c() && "slot consumed by non-owner");
-      dbg(kEvGatherTaken, h, e.index);
       consume(sh, h, j, e);
       return e.index;
     }
-    dbg(kEvGatherEmpty, h);
     return std::nullopt;
   }
 
@@ -268,9 +264,8 @@ class BasicWCQ {
     if (n == 0) return;
     if (n == 1) return enqueue(h, indices[0]);
     help_threads(h);
-    WCQ_SCHED_POINT(kTailFaa);
+    WCQ_EVENT(kTailFaa);
     const u64 base = tail_.lo.fetch_add(n, std::memory_order_seq_cst);
-    opcount::count_faa();
     std::size_t done = 0;
     for (std::size_t k = 0; k < n && done < n; ++k) {
       if (enq_at(base + k, indices[done], /*reset_thld=*/false)) ++done;
@@ -286,7 +281,7 @@ class BasicWCQ {
   // batch contract. Every reserved rank is processed (see deq_at).
   std::size_t dequeue_bulk(u64* out, std::size_t n) {
     if (n == 0) return 0;
-    WCQ_SCHED_POINT(kThresholdCheck);
+    WCQ_EVENT(kThresholdCheck);
     if (threshold_.value.load(std::memory_order_acquire) < 0) {
       return 0;  // empty fast-exit, no ranks burned (and no session paid)
     }
@@ -296,7 +291,7 @@ class BasicWCQ {
 
   std::size_t dequeue_bulk(Handle& h, u64* out, std::size_t n) {
     if (n == 0) return 0;
-    WCQ_SCHED_POINT(kThresholdCheck);
+    WCQ_EVENT(kThresholdCheck);
     if (threshold_.value.load(std::memory_order_acquire) < 0) {
       return 0;  // empty fast-exit, no ranks burned
     }
@@ -307,9 +302,8 @@ class BasicWCQ {
       return 1;
     }
     help_threads(h);
-    WCQ_SCHED_POINT(kHeadFaa);
+    WCQ_EVENT(kHeadFaa);
     const u64 base = head_.lo.fetch_add(n, std::memory_order_seq_cst);
-    opcount::count_faa();
     std::size_t got = 0;
     for (std::size_t k = 0; k < n; ++k) {
       u64 idx;
@@ -374,90 +368,6 @@ class BasicWCQ {
     return false;
   }
 
-  // Debug event hooks (tests only; default off). Called with the counter
-  // value (rank) at each state-changing event so a test harness can check
-  // global produce/consume accounting.
-  enum DebugEvent : int {
-    kEvProducedFast = 0,
-    kEvProducedSlow,
-    kEvConsumed,
-    kEvDeqBotMarkFast,   // dequeuer wrote the ⊥-mark at its cycle
-    kEvDeqBotMarkSlow,
-    kEvDeqUnsafeFast,    // dequeuer stripped IsSafe from an old live entry
-    kEvDeqUnsafeSlow,
-    kEvDeqRetryFast,     // fast dequeue left rank h with RETRY
-    kEvDeqEmptyFast,
-    kEvDeqSlowFalse,     // try_deq_slow abandoned rank h
-    kEvDeqSlowFinReady,  // helper saw the ready entry and set FIN
-    kEvDeqSlowFinEmpty,
-    kEvGatherTaken,      // requester consumed the slow-path result
-    kEvGatherEmpty,
-    kEvEnqSlowAvert,     // try_enq_slow watermarked Note
-    kEvEnqSlowFalse,
-    kEvP1Adv,            // phase-1 CAS advanced local to rank|INC (aux=old)
-    kEvP2Done,           // phase-2 CAS cleared INC at rank (helper or self)
-    kEvPublishOk,        // global CAS2 granted rank to the group
-    kEvReturnTrue,       // slow_faa handed rank to a cooperative thread
-    kEvFinFail,          // FIN CAS at rank failed (aux=observed local word)
-  };
-  struct DebugHooks {
-    void (*event)(void* ctx, int kind, u64 rank, u64 aux) = nullptr;
-    void* ctx = nullptr;
-  };
-  DebugHooks debug_hooks;
-
-  void dbg(int kind, u64 rank, u64 aux = 0) {
-    if (debug_hooks.event != nullptr) {
-      debug_hooks.event(debug_hooks.ctx, kind, rank, aux);
-    }
-  }
-
-  // Post-mortem diagnostic: dump ring slots and thread records to stderr.
-  // Not synchronized; only meaningful when the queue is quiescent/stuck.
-  // All loads relaxed (DESIGN.md §15 DBG-RELAXED): the dump races by
-  // construction, individual loads stay word-atomic either way, and on a
-  // quiescent queue every committed value is already visible — seq_cst here
-  // bought ordering no reader of the dump could use.
-  void debug_dump() const {
-    using std::memory_order_relaxed;
-    std::fprintf(stderr, "WCQ dump: head=%llu tail=%llu threshold=%lld\n",
-                 (unsigned long long)head_.lo.load(memory_order_relaxed),
-                 (unsigned long long)tail_.lo.load(memory_order_relaxed),
-                 (long long)threshold_.value.load(memory_order_relaxed));
-    std::fprintf(stderr, "  head.ref=%llx tail.ref=%llx\n",
-                 (unsigned long long)head_.hi.load(memory_order_relaxed),
-                 (unsigned long long)tail_.hi.load(memory_order_relaxed));
-    for (u64 pos = 0; pos < codec_.ring_size(); ++pos) {
-      const u64 j = remap_(pos);
-      const Entry e =
-          codec_.unpack(entries_[j].lo.load(memory_order_relaxed));
-      std::fprintf(
-          stderr,
-          "  slot[pos=%llu j=%llu] cycle=%llu safe=%d enq=%d "
-          "idx=%llu note=%llu\n",
-          (unsigned long long)pos, (unsigned long long)j,
-          (unsigned long long)e.cycle, e.safe ? 1 : 0, e.enq ? 1 : 0,
-          (unsigned long long)e.index,
-          (unsigned long long)entries_[j].hi.load(memory_order_relaxed));
-    }
-    for (unsigned i = 0; i < n_records(); ++i) {
-      const ThreadRec& r = records_[i];
-      std::fprintf(
-          stderr,
-          "  rec[%u] pending=%d enq=%d seq1=%llu seq2=%llu "
-          "ltail=%llx itail=%llx lhead=%llx ihead=%llx idx=%llu\n",
-          i, r.pending.load(memory_order_relaxed) ? 1 : 0,
-          r.is_enqueue.load(memory_order_relaxed) ? 1 : 0,
-          (unsigned long long)r.seq1.load(memory_order_relaxed),
-          (unsigned long long)r.seq2.load(memory_order_relaxed),
-          (unsigned long long)r.local_tail.load(memory_order_relaxed),
-          (unsigned long long)r.init_tail.load(memory_order_relaxed),
-          (unsigned long long)r.local_head.load(memory_order_relaxed),
-          (unsigned long long)r.init_head.load(memory_order_relaxed),
-          (unsigned long long)r.index.load(memory_order_relaxed));
-    }
-  }
-
  private:
   // ---- per-thread state (Fig 4) -------------------------------------------
 
@@ -510,10 +420,6 @@ class BasicWCQ {
     return static_cast<i64>(codec_.half() * 3 - 1);
   }
 
-  u64 rec_index(const ThreadRec& r) const {
-    return static_cast<u64>(&r - records_.data());
-  }
-
   unsigned n_records() const {
     const unsigned hw = ThreadRegistry::high_water();
     return hw < opt_.max_threads ? hw : opt_.max_threads;
@@ -522,17 +428,15 @@ class BasicWCQ {
   // ---- fast path (identical to SCQ modulo the pair layout) ----------------
 
   bool try_enq(u64 index, u64& tail_out) {
-    WCQ_SCHED_POINT(kTailFaa);
+    WCQ_EVENT(kTailFaa);
     const u64 t = tail_.lo.fetch_add(1, std::memory_order_seq_cst);
-    opcount::count_faa();
     tail_out = t;
     return enq_at(t, index, /*reset_thld=*/true);
   }
 
   DeqStatus try_deq(Handle& me, u64& index_out, u64& head_out) {
-    WCQ_SCHED_POINT(kHeadFaa);
+    WCQ_EVENT(kHeadFaa);
     const u64 h = head_.lo.fetch_add(1, std::memory_order_seq_cst);
-    opcount::count_faa();
     head_out = h;
     return deq_at(me, h, index_out);
   }
@@ -553,12 +457,12 @@ class BasicWCQ {
           !codec_.is_live_index(e.index)) {
         // One-step insertion on the fast path: Enq=1 right away (Thm 5.9).
         const u64 fresh = codec_.pack(cycle_t, true, true, index);
-        WCQ_SCHED_POINT(kEntryUpdate);
+        WCQ_EVENT(kEntryUpdate);
         if (!entries_[j].lo.compare_exchange_strong(
                 raw, fresh, std::memory_order_seq_cst)) {
           continue;
         }
-        dbg(kEvProducedFast, t, index);
+        WCQ_EVENT(kRankProduced, t, index);
         if (reset_thld) reset_threshold();
         return true;
       }
@@ -576,7 +480,7 @@ class BasicWCQ {
     const u64 cycle_h = codec_.cycle_of(h);
     u64 raw = entries_[j].lo.load(std::memory_order_acquire);
     for (;;) {
-      WCQ_SCHED_POINT(kEntryUpdate);
+      WCQ_EVENT(kEntryUpdate);
       const Entry e = codec_.unpack(raw);
       if (e.cycle == cycle_h) {
         assert(codec_.is_live_index(e.index) && "owner sees non-live index");
@@ -585,8 +489,7 @@ class BasicWCQ {
         return DeqStatus::kOk;
       }
       u64 fresh;
-      const bool live = codec_.is_live_index(e.index);
-      if (!live) {
+      if (!codec_.is_live_index(e.index)) {
         fresh = codec_.pack(cycle_h, e.safe, true, codec_.bottom());
       } else {
         fresh = codec_.pack(e.cycle, false, e.enq, e.index);
@@ -596,24 +499,18 @@ class BasicWCQ {
                 raw, fresh, std::memory_order_seq_cst)) {
           continue;
         }
-        dbg(live ? kEvDeqUnsafeFast : kEvDeqBotMarkFast, h);
         const u64 t = tail_.lo.load(std::memory_order_seq_cst);
         if (t <= h + 1) {
           catchup(t, h + 1);
-          WCQ_SCHED_POINT(kThresholdDec);
+          WCQ_EVENT(kThresholdDec);
           threshold_.value.fetch_sub(1, std::memory_order_seq_cst);
-          opcount::count_threshold();
-          dbg(kEvDeqEmptyFast, h);
           return DeqStatus::kEmpty;
         }
       }
-      opcount::count_threshold();
-      WCQ_SCHED_POINT(kThresholdDec);
+      WCQ_EVENT(kThresholdDec);
       if (threshold_.value.fetch_sub(1, std::memory_order_seq_cst) <= 0) {
-        dbg(kEvDeqEmptyFast, h);
         return DeqStatus::kEmpty;
       }
-      dbg(kEvDeqRetryFast, h);
       return DeqStatus::kRetry;
     }
   }
@@ -642,7 +539,7 @@ class BasicWCQ {
     // which stays seq_cst (Lemma 5.5 ordering); the L4 empty-window history
     // check is the regression net for this argument.
     if (threshold_.value.load(std::memory_order_relaxed) != threshold_max()) {
-      WCQ_SCHED_POINT(kThresholdArm);
+      WCQ_EVENT(kThresholdArm);
 #if defined(WCQ_ANALYSIS_MUTATE_THRESHOLD)
       // Mutation self-test (DESIGN.md §11): model the re-arm downgraded to a
       // relaxed store whose visibility is delayed past the next scheduling
@@ -651,13 +548,12 @@ class BasicWCQ {
 #else
       threshold_.value.store(threshold_max(), std::memory_order_seq_cst);
 #endif
-      opcount::count_threshold();
     }
   }
 
   void catchup(u64 tail, u64 head) {
     for (int i = 0; i < kCatchupMax; ++i) {
-      WCQ_SCHED_POINT(kCatchup);
+      WCQ_EVENT(kCatchup);
       if (tail_.lo.compare_exchange_strong(tail, head,
                                            std::memory_order_seq_cst)) {
         return;
@@ -678,9 +574,9 @@ class BasicWCQ {
 
   void consume(Handle& me, u64 h, u64 j, const Entry& e) {
     if (!e.enq) finalize_request(me, h);
-    WCQ_SCHED_POINT(kEntryUpdate);
+    WCQ_EVENT(kEntryUpdate);
     entries_[j].lo.fetch_or(codec_.consume_mask(), std::memory_order_seq_cst);
-    dbg(kEvConsumed, h, e.index);
+    WCQ_EVENT(kRankConsumed, h, e.index);
   }
 
   // An entry produced by a slow-path enqueuer (Enq=0) is being consumed:
@@ -700,7 +596,7 @@ class BasicWCQ {
       const u64 cur = lt.load(std::memory_order_acquire);
       if ((cur & kCounterMask) == h) {
         u64 expect = h;  // only a clean (flag-free) value is finalized
-        WCQ_SCHED_POINT(kSlowLocal);
+        WCQ_EVENT(kSlowLocal);
         lt.compare_exchange_strong(expect, h | kFin,
                                    std::memory_order_seq_cst);
         return;
@@ -778,7 +674,7 @@ class BasicWCQ {
     const u64 j = remap_(codec_.pos_of(t));
     const u64 cycle_t = codec_.cycle_of(t);
     for (;;) {
-      WCQ_SCHED_POINT(kEntryUpdate);
+      WCQ_EVENT(kEntryUpdate);
       Pair128 pair = entries_[j].load_torn();
       const Entry e = codec_.unpack(pair.lo);
       const u64 note = pair.hi;
@@ -788,17 +684,16 @@ class BasicWCQ {
           // Unusable: watermark Note so every cooperating thread skips this
           // slot even if the condition later turns true for them.
           if (!EntryOps::update_note(entries_[j], pair, cycle_t)) continue;
-          dbg(kEvEnqSlowAvert, t, rec_index(rec));
           return false;
         }
         // Produce the entry two-step: Enq=0 first.
         const Pair128 produced{codec_.pack(cycle_t, true, false, index),
                                note};
         if (!EntryOps::update_value(entries_[j], pair, produced.lo)) continue;
-        dbg(kEvProducedSlow, t, index);
+        WCQ_EVENT(kRankProduced, t, index);
         // Finalize the help request, then flip Enq to 1 (Fig 7 lines 14-17).
         u64 expect = t;
-        WCQ_SCHED_POINT(kSlowLocal);
+        WCQ_EVENT(kSlowLocal);
         if (rec.local_tail.compare_exchange_strong(
                 expect, t | kFin, std::memory_order_seq_cst)) {
           // Flip Enq to 1; on failure the consumer's OR flips it instead.
@@ -809,7 +704,6 @@ class BasicWCQ {
         return true;
       }
       if (e.cycle != cycle_t) {
-        dbg(kEvEnqSlowFalse, t, rec_index(rec));
         return false;
       }
       // Cycle matches: either a peer inserted this request's element (live
@@ -830,18 +724,15 @@ class BasicWCQ {
     const u64 j = remap_(codec_.pos_of(h));
     const u64 cycle_h = codec_.cycle_of(h);
     for (;;) {
-      WCQ_SCHED_POINT(kEntryUpdate);
+      WCQ_EVENT(kEntryUpdate);
       Pair128 pair = entries_[j].load_torn();
       const Entry e = codec_.unpack(pair.lo);
       if (e.cycle == cycle_h && e.index != codec_.bottom()) {
         // Ready (value) or already consumed by the requester (⊥c).
         u64 expect = h;
-        WCQ_SCHED_POINT(kSlowLocal);
-        if (!rec.local_head.compare_exchange_strong(
-                expect, h | kFin, std::memory_order_seq_cst)) {
-          dbg(kEvFinFail, h, expect);
-        }
-        dbg(kEvDeqSlowFinReady, h, rec_index(rec));
+        WCQ_EVENT(kSlowLocal);
+        rec.local_head.compare_exchange_strong(expect, h | kFin,
+                                               std::memory_order_seq_cst);
         return true;
       }
       u64 note = pair.hi;
@@ -856,28 +747,25 @@ class BasicWCQ {
         }
         val = codec_.pack(e.cycle, false, e.enq, e.index);
       }
-      if (e.cycle < cycle_h) {
-        if (!EntryOps::update_value(entries_[j], pair, val)) continue;
-        dbg(live ? kEvDeqUnsafeSlow : kEvDeqBotMarkSlow, h);
+      if (e.cycle < cycle_h &&
+          !EntryOps::update_value(entries_[j], pair, val)) {
+        continue;
       }
       const u64 t = tail_.lo.load(std::memory_order_seq_cst);
       if (t <= h + 1) {
         catchup(t, h + 1);
-        WCQ_SCHED_POINT(kThresholdCheck);
+        WCQ_EVENT(kThresholdCheck);
         if (threshold_.value.load(std::memory_order_seq_cst) < 0) {
           u64 expect = h;
-          WCQ_SCHED_POINT(kSlowLocal);
+          WCQ_EVENT(kSlowLocal);
           if (!rec.local_head.compare_exchange_strong(
                   expect, h | kFin, std::memory_order_seq_cst) &&
               (expect & kFin) == 0) {
-            dbg(kEvFinFail, h, expect);
             return false;  // group advanced; the request is not finished
           }
-          dbg(kEvDeqSlowFinEmpty, h, rec_index(rec));
           return true;  // queue is empty
         }
       }
-      dbg(kEvDeqSlowFalse, h, rec_index(rec));
       return false;
     }
   }
@@ -899,10 +787,9 @@ class BasicWCQ {
       bool advanced = false;
       if (have_cnt) {
         u64 expect = v;
-        WCQ_SCHED_POINT(kSlowLocal);
+        WCQ_EVENT(kSlowLocal);
         if (local.compare_exchange_strong(expect, cnt | kInc,
                                           std::memory_order_seq_cst)) {
-          dbg(kEvP1Adv, cnt, v);
           v = cnt | kInc;  // Phase 1 complete (for this attempt)
           advanced = true;
         }
@@ -930,7 +817,6 @@ class BasicWCQ {
             bo.pause();
             continue;
           }
-          dbg(kEvReturnTrue, v, rec_index(req_rec));
           return true;  // already reserved; v is the slot
         }
         cnt = v & kCounterMask;
@@ -938,27 +824,22 @@ class BasicWCQ {
       // Publish the increment together with a Phase-2 help tag.
       const u64 gen = prepare_phase2(p2, &local, cnt);
       Pair128 expect{cnt, 0};
-      WCQ_SCHED_POINT(kSlowPublish);
+      WCQ_EVENT(kSlowPublish);
       if (dwcas(global, expect, Pair128{cnt + 1, make_ref(my, gen)})) {
-        opcount::count_faa();  // the slow path's published increment
-        dbg(kEvPublishOk, cnt, rec_index(req_rec));
+        WCQ_EVENT(kSlowFaaGranted);  // the slow path's published increment
         // Exactly one thread reaches here per reservation: the threshold is
         // decremented once per global Head change (Lemma 5.6).
         if (thld != nullptr) {
-          WCQ_SCHED_POINT(kThresholdDec);
+          WCQ_EVENT(kThresholdDec);
           thld->fetch_sub(1, std::memory_order_seq_cst);
-          opcount::count_threshold();
         }
         u64 e = cnt | kInc;
-        WCQ_SCHED_POINT(kSlowLocal);
-        if (local.compare_exchange_strong(e, cnt, std::memory_order_seq_cst)) {
-          dbg(kEvP2Done, cnt);
-        }
+        WCQ_EVENT(kSlowLocal);
+        local.compare_exchange_strong(e, cnt, std::memory_order_seq_cst);
         Pair128 gexp{cnt + 1, make_ref(my, gen)};
-        WCQ_SCHED_POINT(kSlowPublish);
+        WCQ_EVENT(kSlowPublish);
         dwcas(global, gexp, Pair128{cnt + 1, 0});  // failure: others clear it
         v = cnt;
-        dbg(kEvReturnTrue, v, rec_index(req_rec));
         return true;
       }
     }
@@ -979,7 +860,7 @@ class BasicWCQ {
   bool load_global_help_phase2(AtomicPair128& global, std::atomic<u64>& local,
                                u64& cnt_out) {
     for (;;) {
-      WCQ_SCHED_POINT(kSlowHelp);
+      WCQ_EVENT(kSlowHelp);
       if ((local.load(std::memory_order_acquire) & kFin) != 0) return false;
       const u64 gcnt = global.lo.load(std::memory_order_seq_cst);
       const u64 gref = global.hi.load(std::memory_order_acquire);
@@ -1007,10 +888,7 @@ class BasicWCQ {
         if (p2.seq1.load(std::memory_order_acquire) == s2) {
           auto* lp = reinterpret_cast<std::atomic<u64>*>(laddr);
           u64 expect = cnt | kInc;
-          if (lp->compare_exchange_strong(expect, cnt,
-                                          std::memory_order_seq_cst)) {
-            dbg(kEvP2Done, cnt);
-          }
+          lp->compare_exchange_strong(expect, cnt, std::memory_order_seq_cst);
         }
       }
       Pair128 gexp{gcnt, gref};

@@ -4,7 +4,6 @@
 // scaling layers, not just the handful of .cpp files in libwcq. Built only
 // under -DWCQ_LINT=ON (the CI static-analysis configuration); it ships no
 // code of its own.
-#include "analysis/sched_point.hpp"
 #include "baselines/cc_queue.hpp"
 #include "baselines/crturn_queue.hpp"
 #include "baselines/faa_queue.hpp"
@@ -17,6 +16,7 @@
 #include "common/cpu.hpp"
 #include "common/dwcas.hpp"
 #include "common/env.hpp"
+#include "common/event.hpp"
 #include "common/op_counters.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"

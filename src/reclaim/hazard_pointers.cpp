@@ -69,7 +69,7 @@ void* HazardDomain::protect_raw(unsigned slot,
   auto& cell = impl_->rows[ThreadRegistry::tid()].slots[slot];
   void* p = src.load(std::memory_order_acquire);
   for (;;) {
-    WCQ_SCHED_POINT(kHazardProtect);
+    WCQ_EVENT(kHazardProtect);
     cell.store(p, std::memory_order_seq_cst);
     void* again = src.load(std::memory_order_acquire);
     if (again == p) return p;
@@ -78,20 +78,20 @@ void* HazardDomain::protect_raw(unsigned slot,
 }
 
 void HazardDomain::set_raw(unsigned slot, void* p) {
-  WCQ_SCHED_POINT(kHazardProtect);
+  WCQ_EVENT(kHazardProtect);
   impl_->rows[ThreadRegistry::tid()].slots[slot].store(
       p, std::memory_order_seq_cst);
 }
 
 void HazardDomain::clear(unsigned slot) {
-  WCQ_SCHED_POINT(kHazardClear);
+  WCQ_EVENT(kHazardClear);
   impl_->rows[ThreadRegistry::tid()].slots[slot].store(
       nullptr, std::memory_order_release);
 }
 
 void HazardDomain::clear_all() {
   auto& row = impl_->rows[ThreadRegistry::tid()];
-  WCQ_SCHED_POINT(kHazardClear);
+  WCQ_EVENT(kHazardClear);
   for (auto& s : row.slots) s.store(nullptr, std::memory_order_release);
 }
 
@@ -111,7 +111,7 @@ void HazardDomain::retire(unsigned tid, void* p, void (*deleter)(void*, void*),
 void HazardDomain::retire_common(unsigned tid, void* p, void (*deleter)(void*),
                                  void (*deleter2)(void*, void*), void* ctx) {
   auto& list = impl_->retired[tid].list;
-  WCQ_SCHED_POINT(kHazardRetire);
+  WCQ_EVENT(kHazardRetire);
   list.push_back(Impl::Retired{p, deleter, deleter2, ctx});
   impl_->retired_total.fetch_add(1, std::memory_order_relaxed);
   // Scan threshold: either the domain's fixed setting or 2x the maximum
@@ -141,7 +141,7 @@ void HazardDomain::scan(unsigned tid) {
   // not by this scan's order).
   std::atomic_thread_fence(std::memory_order_seq_cst);
   for (unsigned t = 0; t < hw; ++t) {
-    WCQ_SCHED_POINT(kHazardScan);
+    WCQ_EVENT(kHazardScan);
     for (const auto& s : impl_->rows[t].slots) {
       void* p = s.load(std::memory_order_relaxed);
       if (p != nullptr) hazards.push_back(p);

@@ -15,8 +15,8 @@
 #include <atomic>
 #include <cstddef>
 
-#include "analysis/sched_point.hpp"
 #include "common/align.hpp"
+#include "common/event.hpp"
 #include "runtime/thread_registry.hpp"
 
 namespace wcq {
@@ -72,7 +72,7 @@ class HazardDomain {
                     const std::atomic<T*>& src) {
     T* p = src.load(std::memory_order_acquire);
     for (;;) {
-      WCQ_SCHED_POINT(kHazardProtect);
+      WCQ_EVENT(kHazardProtect);
       row.slots[slot].store(static_cast<void*>(p), std::memory_order_seq_cst);
       T* again = src.load(std::memory_order_acquire);
       if (again == p) return p;
@@ -88,14 +88,14 @@ class HazardDomain {
 
   template <typename T>
   static void set(ThreadSlots& row, unsigned slot, T* p) {
-    WCQ_SCHED_POINT(kHazardProtect);
+    WCQ_EVENT(kHazardProtect);
     row.slots[slot].store(static_cast<void*>(p), std::memory_order_seq_cst);
   }
 
   void clear(unsigned slot);
   void clear_all();
   static void clear(ThreadSlots& row, unsigned slot) {
-    WCQ_SCHED_POINT(kHazardClear);
+    WCQ_EVENT(kHazardClear);
     row.slots[slot].store(nullptr, std::memory_order_release);
   }
 

@@ -45,8 +45,8 @@
 #include <cstddef>
 #include <vector>
 
-#include "analysis/sched_point.hpp"
 #include "common/align.hpp"
+#include "common/event.hpp"
 #include "runtime/thread_registry.hpp"
 
 namespace wcq {
@@ -150,7 +150,7 @@ class SegmentPool {
     if (size_.load(std::memory_order_relaxed) == 0) return nullptr;
     for (std::size_t i = b; i < e; ++i) {
       Node* n = slots_[i].value.load(std::memory_order_relaxed);
-      WCQ_SCHED_POINT(kPoolOp);
+      WCQ_EVENT(kPoolOp);
       if (n != nullptr &&
           slots_[i].value.compare_exchange_strong(
               n, nullptr, std::memory_order_acquire,
@@ -167,7 +167,7 @@ class SegmentPool {
   bool put_range(Node* n, std::size_t b, std::size_t e, unsigned p) {
     for (std::size_t i = b; i < e; ++i) {
       Node* expected = nullptr;
-      WCQ_SCHED_POINT(kPoolOp);
+      WCQ_EVENT(kPoolOp);
       if (slots_[i].value.load(std::memory_order_relaxed) == nullptr &&
           slots_[i].value.compare_exchange_strong(
               expected, n, std::memory_order_release,

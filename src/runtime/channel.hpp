@@ -55,8 +55,8 @@
 #include <type_traits>
 #include <utility>
 
-#include "analysis/sched_point.hpp"
 #include "common/backoff.hpp"
+#include "common/event.hpp"
 #include "core/bounded_queue.hpp"
 #include "runtime/eventcount.hpp"
 
@@ -213,7 +213,7 @@ class Channel {
                                          std::memory_order_seq_cst)) {
       return false;  // CHAN-CLOSE
     }
-    WCQ_SCHED_POINT(kChanClose);
+    WCQ_EVENT(kChanClose);
     not_empty_.notify_all();
     not_full_.notify_all();
     return true;

@@ -33,23 +33,23 @@
 // a mutex+condvar fallback provides the same interface (the notifier taking
 // the mutex empty-handed before notifying closes the same window).
 //
-// Analysis builds (WCQ_ANALYSIS=1): every protocol edge is a WCQ_SCHED_POINT,
-// and when a cooperative scheduler is installed commit_wait parks *virtually*
-// — it spins at kParkCommit scheduling points re-reading the epoch instead of
-// entering the kernel, so the PCT explorer can interleave park/wake edges
-// deterministically. A virtual park that exhausts its step budget without
-// ever observing an epoch bump returns spuriously (callers re-check by
-// contract) and is tallied in stranded(): in a well-formed harness where
-// every park has a matching wake, stranded() == 0 over every schedule is the
-// lost-wakeup-freedom assertion, and the mutation self-tests demand the
-// opposite.
+// Analysis builds (WCQ_ANALYSIS=1): every protocol edge is a preempting
+// WCQ_EVENT, and when a cooperative scheduler is installed commit_wait parks
+// *virtually* — it spins at kParkCommit scheduling points re-reading the
+// epoch instead of entering the kernel, so the PCT explorer can interleave
+// park/wake edges deterministically. A virtual park that exhausts its step
+// budget without ever observing an epoch bump returns spuriously (callers
+// re-check by contract) and is tallied in stranded(): in a well-formed
+// harness where every park has a matching wake, stranded() == 0 over every
+// schedule is the lost-wakeup-freedom assertion, and the mutation self-tests
+// demand the opposite.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 
-#include "analysis/sched_point.hpp"
+#include "common/event.hpp"
 
 #if defined(__linux__)
 #include <linux/futex.h>
@@ -86,7 +86,7 @@ class EventCount {
     // PARK-DEKKER: orders the waiter announcement before the caller's
     // condition re-check, against notify()'s mirror fence.
     std::atomic_thread_fence(std::memory_order_seq_cst);
-    WCQ_SCHED_POINT(kParkPrepare);
+    WCQ_EVENT(kParkPrepare);
     return epoch_.load(std::memory_order_acquire);  // PARK-EPOCH
   }
 
@@ -94,7 +94,7 @@ class EventCount {
   // announcement without sleeping.
   void cancel_wait() {
     waiters_.fetch_sub(1, std::memory_order_relaxed);  // PARK-COUNT
-    WCQ_SCHED_POINT(kParkCancel);
+    WCQ_EVENT(kParkCancel);
   }
 
   // Phase 2b: park until the epoch moves past `t`. May return spuriously
@@ -173,7 +173,7 @@ class EventCount {
   // as stranded — the caller's contract turns it into a spurious wake).
   bool virtual_park(Ticket t) {
     for (std::uint32_t i = 0; i < kAnalysisParkBudget; ++i) {
-      WCQ_SCHED_POINT(kParkCommit);
+      WCQ_EVENT(kParkCommit);
       if (epoch_.load(std::memory_order_acquire) != t) {  // PARK-EPOCH
         return true;
       }
@@ -187,7 +187,7 @@ class EventCount {
     // PARK-DEKKER: orders the caller's state publication before the waiter
     // read, against prepare_wait's mirror fence.
     std::atomic_thread_fence(std::memory_order_seq_cst);
-    WCQ_SCHED_POINT(kParkWake);
+    WCQ_EVENT(kParkWake);
     if (waiters_.load(std::memory_order_relaxed) == 0) {  // PARK-COUNT
       return;
     }

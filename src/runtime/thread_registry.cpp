@@ -5,8 +5,7 @@
 #include <mutex>
 #include <vector>
 
-#include "analysis/sched_point.hpp"
-#include "common/op_counters.hpp"
+#include "common/event.hpp"
 
 namespace wcq {
 
@@ -56,7 +55,7 @@ unsigned acquire_slot() {
     std::uint64_t bits = g_bitmap[w].load(std::memory_order_relaxed);
     while (bits != ~std::uint64_t{0}) {
       const unsigned bit = static_cast<unsigned>(__builtin_ctzll(~bits));
-      WCQ_SCHED_POINT(kRegistry);
+      WCQ_EVENT(kRegistry);
       if (g_bitmap[w].compare_exchange_weak(bits, bits | (1ULL << bit),
                                             std::memory_order_acq_rel)) {
         const unsigned slot = w * 64 + bit;
@@ -67,7 +66,7 @@ unsigned acquire_slot() {
         // advance would let a scanner see the new high-water mark without
         // those prior writes.
         unsigned hw = g_high_water.load(std::memory_order_relaxed);
-        WCQ_SCHED_POINT(kRegistry);
+        WCQ_EVENT(kRegistry);
         while (hw < slot + 1 &&
                !g_high_water.compare_exchange_weak(hw, slot + 1,
                                                    std::memory_order_release,
@@ -108,12 +107,12 @@ struct SlotHolder {
 
 unsigned ThreadRegistry::tid() {
   thread_local SlotHolder holder;
-  opcount::count_registry();
+  WCQ_EVENT(kRegistryLookup);
   return holder.slot;
 }
 
 unsigned ThreadRegistry::high_water() {
-  opcount::count_registry();
+  WCQ_EVENT(kRegistryLookup);
   return g_high_water.load(std::memory_order_acquire);
 }
 

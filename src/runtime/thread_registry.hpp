@@ -37,9 +37,9 @@ class ThreadRegistry {
   // Terminates the process if more than kMaxThreads threads are live
   // (documented hard limit, as in the paper's static NUM_THRDS).
   //
-  // Every call is metered as a registry lookup (opcount::count_registry, as
-  // is high_water()): the per-thread session handles (DESIGN.md §10) exist
-  // to resolve this once per thread instead of once per layer per
+  // Every call is metered as a registry lookup (a kRegistryLookup event,
+  // as is high_water()): the per-thread session handles (DESIGN.md §10)
+  // exist to resolve this once per thread instead of once per layer per
   // operation, and the bench gate asserts that reduction.
   static unsigned tid();
 

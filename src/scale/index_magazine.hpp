@@ -47,8 +47,8 @@
 #include <atomic>
 #include <cstddef>
 
-#include "analysis/sched_point.hpp"
 #include "common/align.hpp"
+#include "common/event.hpp"
 #include "runtime/thread_registry.hpp"
 
 namespace wcq {
@@ -128,7 +128,7 @@ class IndexMagazines {
       if (slot(m, i).load(std::memory_order_relaxed) == kNone) {
         // Only the owner stores non-kNone values, so the slot cannot have
         // been filled since the check; takes only empty slots out.
-        WCQ_SCHED_POINT(kMagazinePut);
+        WCQ_EVENT(kMagazinePut);
         slot(m, i).store(idx, std::memory_order_release);
         count_of(m).fetch_add(1, std::memory_order_relaxed);
         return true;
@@ -165,7 +165,7 @@ class IndexMagazines {
     const unsigned n = hw < max_threads() ? hw : max_threads();
     for (unsigned t = 0; t < n; ++t) {
       if (t == self) continue;
-      WCQ_SCHED_POINT(kMagazineSteal);
+      WCQ_EVENT(kMagazineSteal);
       std::atomic<u64>* m = block(t);
       if (count_hint(m) <= 0) continue;
       if (take_from(m, out)) return true;
@@ -232,7 +232,7 @@ class IndexMagazines {
     for (std::size_t i = 0; i < cap_; ++i) {
       u64 v = slot(m, i).load(std::memory_order_relaxed);
       if (v == kNone) continue;
-      WCQ_SCHED_POINT(kMagazineTake);
+      WCQ_EVENT(kMagazineTake);
       if (slot(m, i).compare_exchange_strong(v, kNone,
                                              std::memory_order_acquire,
                                              std::memory_order_relaxed)) {
@@ -250,7 +250,7 @@ class IndexMagazines {
     for (std::size_t i = 0; i < cap_ && got < n; ++i) {
       u64 v = slot(m, i).load(std::memory_order_relaxed);
       if (v == kNone) continue;
-      WCQ_SCHED_POINT(kMagazineTake);
+      WCQ_EVENT(kMagazineTake);
       if (slot(m, i).compare_exchange_strong(v, kNone,
                                              std::memory_order_acquire,
                                              std::memory_order_relaxed)) {

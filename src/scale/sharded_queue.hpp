@@ -29,8 +29,8 @@
 //    sweep stays bounded (one visit per shard), preserving the rings'
 //    progress guarantee per operation.
 //  * Accounting — an operation that *succeeds* on a shard of a different
-//    node than the caller's increments the thread-local remote_steal
-//    counter (common/op_counters.hpp): crossing the interconnect is the
+//    node than the caller's emits one kRemoteSteal event, which bumps the
+//    thread-local remote_steal counter: crossing the interconnect is the
 //    expensive event worth gating on, failed remote probes are not.
 //  * Batching — enqueue_bulk/dequeue_bulk forward to the shards' batch
 //    paths (one ring F&A per chunk instead of per element), spilling the
@@ -72,7 +72,7 @@
 #include <vector>
 
 #include "common/cpu.hpp"
-#include "common/op_counters.hpp"
+#include "common/event.hpp"
 #include "common/topology.hpp"
 #include "core/bounded_queue.hpp"
 #include "core/wcq.hpp"
@@ -298,15 +298,9 @@ class ShardedQueue {
   // local group rotated to start at the home shard, then remote groups
   // nearest-node-first. Exposed for tests; Handle caches exactly this.
   std::vector<unsigned> sweep_order(unsigned node, unsigned tid) const {
-    const auto& loc = local_[node];
-    const auto& ord = order_[node];
-    const unsigned n = shard_count();
-    const unsigned L = static_cast<unsigned>(loc.size());
-    const unsigned p = L != 0 ? tid % L : 0;
-    std::vector<unsigned> out;
-    out.reserve(n);
-    for (unsigned s = 0; s < L; ++s) out.push_back(loc[(p + s) % L]);
-    for (unsigned s = L; s < n; ++s) out.push_back(ord[s]);
+    const Sweep sw = sweep_for(node, tid);
+    std::vector<unsigned> out(sw.n);
+    for (unsigned s = 0; s < sw.n; ++s) out[s] = sw.at(s);
     return out;
   }
 
@@ -314,9 +308,7 @@ class ShardedQueue {
   // local group (the flat-topology case reduces to tid & (shards-1)), or
   // the nearest populated node's first shard when `node` owns none.
   unsigned home_shard_for(unsigned node, unsigned tid) const {
-    const auto& loc = local_[node];
-    if (!loc.empty()) return loc[tid % loc.size()];
-    return order_[node].front();
+    return sweep_for(node, tid).at(0);
   }
   // The calling thread's home shard (tests pin expectations to this; stays
   // consistent with Handle::home_shard() for a handle acquired here).
@@ -359,66 +351,20 @@ class ShardedQueue {
   // is moved from only on success, so retry loops — the blocking Channel send
   // path — can re-offer the same element after a full sweep failed.
   bool enqueue_movable(Handle& h, T& value) {
-    for (const unsigned i : h.sweep_) {
-      if (shards_[i]->enqueue_movable(h.shards_[i], value)) {
-        if (shard_node_[i] != h.node_) opcount::count_remote_steal();
-        return true;
-      }
-    }
-    return false;
+    return enqueue_movable(sweep_for(h), value);
   }
-
   bool enqueue_movable(T& value) {
-    const unsigned tid = ThreadRegistry::tid();
-    const unsigned node = topo_->current_node();
-    const auto& loc = local_[node];
-    const auto& ord = order_[node];
-    const unsigned n = shard_count();
-    const unsigned L = static_cast<unsigned>(loc.size());
-    const unsigned p = L != 0 ? tid % L : 0;
-    for (unsigned s = 0; s < n; ++s) {
-      const unsigned i = s < L ? loc[(p + s) % L] : ord[s];
-      Shard& sh = *shards_[i];
-      auto shh = sh.handle_for(tid);
-      if (sh.enqueue_movable(shh, value)) {
-        if (shard_node_[i] != node) opcount::count_remote_steal();
-        return true;
-      }
-    }
-    return false;
+    return enqueue_movable(sweep_here(), value);
   }
 
   // Nullopt only after a full steal sweep found every shard empty.
   std::optional<T> dequeue() {
     require_consumer(/*consumer=*/false);
-    const unsigned tid = ThreadRegistry::tid();
-    const unsigned node = topo_->current_node();
-    const auto& loc = local_[node];
-    const auto& ord = order_[node];
-    const unsigned n = shard_count();
-    const unsigned L = static_cast<unsigned>(loc.size());
-    const unsigned p = L != 0 ? tid % L : 0;
-    for (unsigned s = 0; s < n; ++s) {
-      const unsigned i = s < L ? loc[(p + s) % L] : ord[s];
-      Shard& sh = *shards_[i];
-      auto shh = sh.handle_for(tid);
-      if (auto v = sh.dequeue(shh)) {
-        if (shard_node_[i] != node) opcount::count_remote_steal();
-        return v;
-      }
-    }
-    return std::nullopt;
+    return dequeue(sweep_here());
   }
-
   std::optional<T> dequeue(Handle& h) {
     require_consumer(h.consumer_);
-    for (const unsigned i : h.sweep_) {
-      if (auto v = shards_[i]->dequeue(h.shards_[i])) {
-        if (shard_node_[i] != h.node_) opcount::count_remote_steal();
-        return v;
-      }
-    }
-    return std::nullopt;
+    return dequeue(sweep_for(h));
   }
 
   // Batch insert: places up to `n` elements (home shard first, spilling the
@@ -429,39 +375,12 @@ class ShardedQueue {
   template <typename U,
             std::enable_if_t<std::is_same_v<std::remove_const_t<U>, T>, int> = 0>
   std::size_t enqueue_bulk(U* first, std::size_t n) {
-    const unsigned tid = ThreadRegistry::tid();
-    const unsigned node = topo_->current_node();
-    const auto& loc = local_[node];
-    const auto& ord = order_[node];
-    const unsigned k = shard_count();
-    const unsigned L = static_cast<unsigned>(loc.size());
-    const unsigned p = L != 0 ? tid % L : 0;
-    std::size_t done = 0;
-    for (unsigned s = 0; s < k && done < n; ++s) {
-      const unsigned i = s < L ? loc[(p + s) % L] : ord[s];
-      Shard& sh = *shards_[i];
-      auto shh = sh.handle_for(tid);
-      const std::size_t got = sh.enqueue_bulk(shh, first + done, n - done);
-      if (got != 0 && shard_node_[i] != node) opcount::count_remote_steal();
-      done += got;
-    }
-    return done;
+    return enqueue_bulk(sweep_here(), first, n);
   }
-
   template <typename U,
             std::enable_if_t<std::is_same_v<std::remove_const_t<U>, T>, int> = 0>
   std::size_t enqueue_bulk(Handle& h, U* first, std::size_t n) {
-    std::size_t done = 0;
-    for (const unsigned i : h.sweep_) {
-      if (done >= n) break;
-      const std::size_t got =
-          shards_[i]->enqueue_bulk(h.shards_[i], first + done, n - done);
-      if (got != 0 && shard_node_[i] != h.node_) {
-        opcount::count_remote_steal();
-      }
-      done += got;
-    }
-    return done;
+    return enqueue_bulk(sweep_for(h), first, n);
   }
 
   // Batch remove: fills `out` from the home shard first, then steals across
@@ -469,41 +388,102 @@ class ShardedQueue {
   // emptiness (see the shard-level contract), dequeue() does.
   std::size_t dequeue_bulk(T* out, std::size_t n) {
     require_consumer(/*consumer=*/false);
-    const unsigned tid = ThreadRegistry::tid();
-    const unsigned node = topo_->current_node();
-    const auto& loc = local_[node];
-    const auto& ord = order_[node];
-    const unsigned k = shard_count();
-    const unsigned L = static_cast<unsigned>(loc.size());
-    const unsigned p = L != 0 ? tid % L : 0;
-    std::size_t done = 0;
-    for (unsigned s = 0; s < k && done < n; ++s) {
-      const unsigned i = s < L ? loc[(p + s) % L] : ord[s];
-      Shard& sh = *shards_[i];
-      auto shh = sh.handle_for(tid);
-      const std::size_t got = sh.dequeue_bulk(shh, out + done, n - done);
-      if (got != 0 && shard_node_[i] != node) opcount::count_remote_steal();
-      done += got;
-    }
-    return done;
+    return dequeue_bulk(sweep_here(), out, n);
   }
-
   std::size_t dequeue_bulk(Handle& h, T* out, std::size_t n) {
     require_consumer(h.consumer_);
-    std::size_t done = 0;
-    for (const unsigned i : h.sweep_) {
-      if (done >= n) break;
-      const std::size_t got =
-          shards_[i]->dequeue_bulk(h.shards_[i], out + done, n - done);
-      if (got != 0 && shard_node_[i] != h.node_) {
-        opcount::count_remote_steal();
-      }
-      done += got;
-    }
-    return done;
+    return dequeue_bulk(sweep_for(h), out, n);
   }
 
  private:
+  using ShardHandle = typename Shard::Handle;
+
+  // One hierarchical sweep, unmaterialized: visit s < local_n walks `local`
+  // rotated to start at `rot`, later visits read `rest[s]` (DESIGN.md §12).
+  // The implicit path builds it from the node's canonical order per call
+  // without allocating; a handle's cached order is an unrotated `local`.
+  // `node` is the session node remote steals are judged against;
+  // `sessions` is the handle's per-shard sessions, or nullptr to build an
+  // unowned view from `tid` per visit.
+  struct Sweep {
+    const unsigned* local;
+    unsigned local_n;
+    unsigned rot;
+    const unsigned* rest;
+    unsigned n;
+    unsigned node;
+    unsigned tid;
+    ShardHandle* sessions;
+
+    unsigned at(unsigned s) const {
+      if (s >= local_n) return rest[s];
+      const unsigned k = rot + s;
+      return local[k < local_n ? k : k - local_n];
+    }
+  };
+
+  Sweep sweep_for(unsigned node, unsigned tid) const {
+    const auto& loc = local_[node];
+    const auto L = static_cast<unsigned>(loc.size());
+    return Sweep{loc.data(), L, L != 0 ? tid % L : 0, order_[node].data(),
+                 shard_count(), node, tid, nullptr};
+  }
+  Sweep sweep_here() const {
+    return sweep_for(topo_->current_node(), ThreadRegistry::tid());
+  }
+  static Sweep sweep_for(Handle& h) {
+    const auto n = static_cast<unsigned>(h.sweep_.size());
+    return Sweep{h.sweep_.data(), n, 0, h.sweep_.data(), n,
+                 h.node_, h.tid_, h.shards_.data()};
+  }
+
+  // The steal sweep behind every operation: visit shards in order until
+  // `want` elements moved. `visit(shard, session, done)` runs one shard
+  // operation and returns how many elements it moved; a visit that moved
+  // any on a shard homed off the session's node is one remote steal.
+  template <typename Visit>
+  std::size_t sweep(const Sweep& sw, std::size_t want, Visit visit) {
+    std::size_t done = 0;
+    for (unsigned s = 0; s < sw.n && done < want; ++s) {
+      const unsigned i = sw.at(s);
+      ShardHandle view;
+      if (sw.sessions == nullptr) view = shards_[i]->handle_for(sw.tid);
+      const std::size_t got = visit(
+          *shards_[i], sw.sessions != nullptr ? sw.sessions[i] : view, done);
+      if (got != 0 && shard_node_[i] != sw.node) WCQ_EVENT(kRemoteSteal);
+      done += got;
+    }
+    return done;
+  }
+
+  bool enqueue_movable(const Sweep& sw, T& value) {
+    return sweep(sw, 1, [&](Shard& q, ShardHandle& qh, std::size_t) {
+             return std::size_t{q.enqueue_movable(qh, value)};
+           }) != 0;
+  }
+
+  std::optional<T> dequeue(const Sweep& sw) {
+    std::optional<T> v;
+    sweep(sw, 1, [&](Shard& q, ShardHandle& qh, std::size_t) {
+      v = q.dequeue(qh);
+      return std::size_t{v.has_value()};
+    });
+    return v;
+  }
+
+  template <typename U>
+  std::size_t enqueue_bulk(const Sweep& sw, U* first, std::size_t n) {
+    return sweep(sw, n, [&](Shard& q, ShardHandle& qh, std::size_t done) {
+      return q.enqueue_bulk(qh, first + done, n - done);
+    });
+  }
+
+  std::size_t dequeue_bulk(const Sweep& sw, T* out, std::size_t n) {
+    return sweep(sw, n, [&](Shard& q, ShardHandle& qh, std::size_t done) {
+      return q.dequeue_bulk(qh, out + done, n - done);
+    });
+  }
+
   // Pipeline-mode role check: draining is reserved to owning-consumer
   // sessions, and violating that is the same severity as a second MPSC
   // consumer (it IS one, a sweep deep) — diagnosed abort, not UB. In kMpmc

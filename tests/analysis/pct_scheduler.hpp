@@ -7,9 +7,11 @@
 // finds them with probability >= 1/(n * t^(k-1)) — so a few hundred seeds
 // cover the small-scope configs explored here many times over.
 //
-// This implementation drives the WCQ_SCHED_POINT annotations compiled into
-// src/ under WCQ_ANALYSIS=1 (or into an individual test binary via a
-// per-target define — the rings are header-only, so any preset can run it):
+// This implementation drives the preempting WCQ_EVENT kinds (the
+// `preempts` column of common/event.hpp's table) compiled into src/ under
+// WCQ_ANALYSIS=1 (or into an individual test binary via a per-target define
+// — the rings are header-only, so any preset can run it). Counter and
+// payload kinds pass through without taking a step:
 //
 //  * Execution is *serialized*: exactly one attached worker runs between two
 //    scheduling points; everyone else blocks on a condition variable. With
@@ -31,7 +33,7 @@
 //    diagnosis instead of hanging CTest.
 //
 // Threads the scheduler never attached (the test's main thread constructing
-// the queue, detached teardown work) pass through sched points untouched.
+// the queue, detached teardown work) pass through events untouched.
 #pragma once
 
 #include <chrono>
@@ -40,7 +42,7 @@
 #include <mutex>
 #include <vector>
 
-#include "analysis/sched_point.hpp"
+#include "common/event.hpp"
 #include "common/rng.hpp"
 
 namespace wcq::analysis_test {
@@ -101,7 +103,7 @@ class PctScheduler {
     }
     trace_.reserve(1 << 14);
     start_ = std::chrono::steady_clock::now();
-    hooks_.yield = &PctScheduler::yield_tramp;
+    hooks_.event = &PctScheduler::event_tramp;
     hooks_.ctx = this;
     analysis::install(&hooks_);
   }
@@ -192,11 +194,14 @@ class PctScheduler {
     return w;
   }
 
-  static void yield_tramp(void* ctx, analysis::Site site) {
-    static_cast<PctScheduler*>(ctx)->on_point(site);
+  static void event_tramp(void* ctx, Event kind, std::uint64_t,
+                          std::uint64_t) {
+    if (event_traits(kind).preempts) {
+      static_cast<PctScheduler*>(ctx)->on_point(kind);
+    }
   }
 
-  void on_point(analysis::Site site) {
+  void on_point(Event site) {
     const int w = tl_worker();
     if (w < 0) return;  // not a scheduled worker (main thread, teardown)
     std::unique_lock<std::mutex> lk(mu_);
@@ -294,7 +299,7 @@ class PctScheduler {
   }
 
   Config cfg_;
-  analysis::SchedHooks hooks_{};
+  analysis::EventHooks hooks_{};
   std::mutex mu_;
   std::condition_variable cv_;
   std::vector<WorkerState> ws_;

@@ -1,7 +1,7 @@
 // Park/wake schedule exploration (DESIGN.md §14): the lost-wakeup-freedom
 // proof for the eventcount protocol under the blocking Channel facade, run
 // the same way PR 6/8 proved ring properties — PCT exploration over the
-// WCQ_SCHED_POINT annotations, here including the kParkPrepare / kParkCancel
+// preempting WCQ_EVENT kinds, here including the kParkPrepare / kParkCancel
 // / kParkCommit / kParkWake / kChanClose edges compiled into this binary.
 //
 // The assertion per schedule is threefold:

@@ -2,9 +2,11 @@
 //
 // Every Head/Tail counter value ("rank") is handed out exactly once, so a
 // correct execution must produce and consume each rank at most once, and a
-// produced rank must eventually be consumed (no orphans). This harness taps
-// WCQ's debug hooks to enforce those invariants globally — it is the test
-// that caught the three pseudocode-level races documented in DESIGN.md §3
+// produced rank must eventually be consumed (no orphans). This harness
+// installs an analysis event hook (the binary is built with WCQ_ANALYSIS=1,
+// see tests/CMakeLists.txt) and reads wCQ's kRankProduced/kRankConsumed
+// events to enforce those invariants globally — it is the test that caught
+// the three pseudocode-level races documented in DESIGN.md §3
 // (⊥-at-own-cycle, exit-without-FIN, baseline re-processing), which
 // manifested as produced-but-never-consumed ranks roughly once per 10^4
 // operations in these configurations.
@@ -18,6 +20,7 @@
 
 #include "common/backoff.hpp"
 #include "common/cpu.hpp"
+#include "common/event.hpp"
 #include "core/wcq.hpp"
 #include "mpmc_harness.hpp"
 
@@ -30,20 +33,31 @@ struct RankLog {
   // bit 0: produced, bit 1: consumed; one cell per rank.
   std::unique_ptr<std::atomic<unsigned char>[]> bits{
       new std::atomic<unsigned char>[kMaxRank]};
+  std::atomic<u64> produced{0};
+  std::atomic<u64> consumed{0};
+  std::atomic<u64> out_of_window{0};
   std::atomic<u64> double_produce{0};
   std::atomic<u64> double_consume{0};
+  const analysis::EventHooks hooks{&RankLog::on_event, this};
 
   RankLog() {
     for (u64 i = 0; i < kMaxRank; ++i) bits[i].store(0);
+    analysis::install(&hooks);
   }
+  ~RankLog() { analysis::uninstall(); }
 
-  static void on_event(void* ctx, int kind, u64 rank, u64) {
+  static void on_event(void* ctx, Event kind, u64 rank, u64) {
+    if (kind != Event::kRankProduced && kind != Event::kRankConsumed) return;
     auto* self = static_cast<RankLog*>(ctx);
-    if (rank >= kMaxRank) return;
-    if (kind == WCQ::kEvProducedFast || kind == WCQ::kEvProducedSlow) {
-      if (self->bits[rank].fetch_or(1) & 1) self->double_produce.fetch_add(1);
-    } else if (kind == WCQ::kEvConsumed) {
-      if (self->bits[rank].fetch_or(2) & 2) self->double_consume.fetch_add(1);
+    const bool produce = kind == Event::kRankProduced;
+    (produce ? self->produced : self->consumed).fetch_add(1);
+    if (rank >= kMaxRank) {
+      self->out_of_window.fetch_add(1);
+      return;
+    }
+    const unsigned char bit = produce ? 1 : 2;
+    if (self->bits[rank].fetch_or(bit) & bit) {
+      (produce ? self->double_produce : self->double_consume).fetch_add(1);
     }
   }
 
@@ -80,8 +94,6 @@ TEST_P(WcqAccounting, EveryProducedRankConsumedExactlyOnce) {
   o.help_delay = 1;
   WCQ q(o);
   RankLog log;
-  q.debug_hooks.ctx = &log;
-  q.debug_hooks.event = &RankLog::on_event;
 
   std::atomic<u64> consumed{0};
   std::atomic<i64> credits{static_cast<i64>(q.capacity())};
@@ -127,6 +139,11 @@ TEST_P(WcqAccounting, EveryProducedRankConsumedExactlyOnce) {
       << "produced-but-never-consumed ranks: elements were lost";
   EXPECT_EQ(consumed.load(), total);
   EXPECT_FALSE(q.dequeue().has_value());
+  // The checks above also pass if no event ever reaches the log; these
+  // prove the hook saw every element, inside the rank window.
+  EXPECT_EQ(log.produced.load(), total) << "kRankProduced events missing";
+  EXPECT_EQ(log.consumed.load(), total) << "kRankConsumed events missing";
+  EXPECT_EQ(log.out_of_window.load(), 0u) << "ranks beyond kMaxRank unchecked";
 }
 
 INSTANTIATE_TEST_SUITE_P(
