@@ -48,6 +48,27 @@ void BM_PairContended(benchmark::State& state) {
   }
 }
 
+// Segment set-up and recycle cost (DESIGN.md §8): constructing (and
+// destroying) a BoundedQueue, and resetting one — what UnboundedQueue pays
+// per fresh segment and per recycled one. Arg = ring order.
+void BM_BoundedConstructSingleThread(benchmark::State& state) {
+  const auto order = static_cast<unsigned>(state.range(0));
+  for (auto _ : state) {
+    BoundedQueue<u64> q(order);
+    benchmark::DoNotOptimize(&q);
+  }
+}
+BENCHMARK(BM_BoundedConstructSingleThread)->Arg(8)->Arg(10);
+
+void BM_BoundedResetSingleThread(benchmark::State& state) {
+  BoundedQueue<u64> q(static_cast<unsigned>(state.range(0)));
+  for (auto _ : state) {
+    q.reset();
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_BoundedResetSingleThread)->Arg(8)->Arg(10);
+
 #define WCQ_MICRO(Adapter)                                       \
   BENCHMARK_TEMPLATE(BM_PairSingleThread, Adapter);              \
   BENCHMARK_TEMPLATE(BM_EmptyDequeue, Adapter);                  \

@@ -72,10 +72,10 @@ namespace wcq {
 namespace detail {
 
 // The fq ring for a given aq ring (DESIGN.md §13). fq's degree profile is
-// NOT aq's: ctor pre-fill, cross-thread magazine exit flushes and owned-
-// handle destruction all enqueue free indices into fq from arbitrary
-// threads, and every enqueuer of the data queue dequeues from fq. So when
-// aq is degree-specialized the free ring falls back to the MPMC SCQ —
+// NOT aq's: every dequeuer of the data queue, cross-thread magazine exit
+// flushes and owned-handle destruction enqueue free indices into fq from
+// arbitrary threads, and every enqueuer of the data queue dequeues from fq.
+// So when aq is degree-specialized the free ring falls back to the MPMC SCQ —
 // `BoundedQueue<T, MpscRing>` stays a drop-in instantiation while keeping
 // the index-recycling paths unrestricted. Symmetric rings keep the historic
 // fq == aq choice (wCQ's fq wait-freedom matters for the Fig 2 contract).
@@ -194,9 +194,7 @@ class BoundedQueue {
         data_(aq_.capacity(), kCacheLine),
         mags_(effective_magazine_capacity(opt.magazine, aq_.capacity()),
               ThreadRegistry::kMaxThreads) {
-    for (u64 i = 0; i < fq_.capacity(); ++i) {
-      fq_.enqueue(i);
-    }
+    fq_.prefill();
     if (mags_.enabled()) {
       // A dying thread flushes its cached free indices back to fq; without
       // this an index could only be recovered by a (full-edge) reclaim
@@ -232,7 +230,7 @@ class BoundedQueue {
   }
 
   // Re-initialize to the freshly-constructed state: destroy any payloads
-  // still in flight, rewind both rings, and refill fq with 0..n-1. Same
+  // still in flight, rewind both rings, and prefill fq with 0..n-1. Same
   // exclusivity precondition as the rings' reset() — this is the bounded
   // layer of the segment-recycling path (DESIGN.md §8), where the hazard
   // grace period guarantees no thread can still touch this queue... with one
@@ -540,9 +538,7 @@ class BoundedQueue {
   void reset_free_indices() {
     mags_.clear();
     fq_.reset();
-    for (u64 i = 0; i < fq_.capacity(); ++i) {
-      fq_.enqueue(i);
-    }
+    fq_.prefill();
   }
 
   // Destroy any payloads still in flight. Single-threaded drain: successful

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <atomic>
+#include <cassert>
 #include <cstddef>
 #include <optional>
 
@@ -157,6 +158,28 @@ class SCQ {
     tail_.value.store(codec_.ring_size(), std::memory_order_relaxed);
     head_.value.store(codec_.ring_size(), std::memory_order_relaxed);
     threshold_.value.store(-1, std::memory_order_relaxed);  // empty
+  }
+
+  // Fill a freshly constructed or reset ring with 0..capacity()-1, leaving
+  // exactly the state capacity() uncontended fast-path enqueues would: the
+  // entry for rank R+i holds {cycle_of(R+i), IsSafe=1, Enq=1, i}, Tail is
+  // R+n, Head stays R and Threshold is armed at 3n-1. Plain stores instead
+  // of n F&A/CAS rounds — BoundedQueue's fq fill (DESIGN.md §8).
+  //
+  // Precondition: exclusive access to an empty ring at its initial counters,
+  // as after construction or reset(). The threshold store is a release, as
+  // in the constructor; a recycled segment's publishing edge is the
+  // caller's, as for reset().
+  void prefill() {
+    const u64 r = codec_.ring_size();
+    assert(tail() == r && head() == r);
+    for (u64 i = 0; i < capacity(); ++i) {
+      entries_[remap_(codec_.pos_of(r + i))].store(
+          codec_.pack(codec_.cycle_of(r + i), true, true, i),
+          std::memory_order_relaxed);
+    }
+    tail_.value.store(r + capacity(), std::memory_order_relaxed);
+    threshold_.value.store(threshold_max(), std::memory_order_release);
   }
 
   // --- introspection hooks (tests / benches) -------------------------------

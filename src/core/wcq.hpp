@@ -323,7 +323,10 @@ class BasicWCQ {
   // next user through the pool's release/acquire hand-off. Under that
   // precondition the per-thread records can be rewound too — rolling seq1
   // back to 1 is safe precisely because no helper holds a generation to
-  // confuse (the reuse-ABA argument, DESIGN.md §8).
+  // confuse (the reuse-ABA argument, DESIGN.md §8). Only records below the
+  // registry high water are rewound: every record write is made by, or on
+  // behalf of, a tid below it, and the high water only grows, so the rows at
+  // or above it are still in their constructed state (DESIGN.md §8).
   void reset() {
     for (u64 i = 0; i < codec_.ring_size(); ++i) {
       entries_[i].lo.store(codec_.initial(), std::memory_order_relaxed);
@@ -334,7 +337,7 @@ class BasicWCQ {
     head_.lo.store(codec_.ring_size(), std::memory_order_relaxed);
     head_.hi.store(0, std::memory_order_relaxed);
     threshold_.value.store(-1, std::memory_order_relaxed);
-    for (u64 i = 0; i < records_.size(); ++i) {
+    for (unsigned i = 0; i < n_records(); ++i) {
       ThreadRec& r = records_[i];
       r.next_check = 1;
       r.next_tid = 0;
@@ -352,6 +355,24 @@ class BasicWCQ {
       r.index.store(0, std::memory_order_relaxed);
       r.seq2.store(0, std::memory_order_relaxed);
     }
+  }
+
+  // Fill a freshly constructed or reset ring with 0..capacity()-1, leaving
+  // exactly the state capacity() uncontended fast-path enqueues would: the
+  // Value word for rank R+i holds {cycle_of(R+i), IsSafe=1, Enq=1, i} (Notes
+  // stay "never"), Tail is R+n, Head stays R and Threshold is armed at 3n-1.
+  // Plain stores instead of n help checks and F&A/CAS rounds — BoundedQueue's
+  // fq fill (DESIGN.md §8). Same precondition and publication as SCQ's.
+  void prefill() {
+    const u64 r = codec_.ring_size();
+    assert(tail() == r && head() == r);
+    for (u64 i = 0; i < capacity(); ++i) {
+      entries_[remap_(codec_.pos_of(r + i))].lo.store(
+          codec_.pack(codec_.cycle_of(r + i), true, true, i),
+          std::memory_order_relaxed);
+    }
+    tail_.lo.store(r + capacity(), std::memory_order_relaxed);
+    threshold_.value.store(threshold_max(), std::memory_order_release);
   }
 
   // --- introspection hooks (tests / benches) -------------------------------

@@ -131,19 +131,19 @@ void HazardDomain::scan(unsigned tid) {
   hazards.clear();
   const unsigned hw = ThreadRegistry::high_water();
   hazards.reserve(static_cast<std::size_t>(hw) * kSlotsPerThread);
-  // One seq_cst fence, then relaxed slot loads (DESIGN.md §15 HP-SCAN-FENCE).
-  // The Dekker pattern needs the *scan* ordered after this thread's retire
-  // bookkeeping and against each protector's seq_cst slot publish (HP-PROT);
-  // a single fence joining S before the loop gives every subsequent load
-  // that position, so per-slot seq_cst loads were O(threads) redundant
-  // fences on ARM — the loads themselves only need coherence (a slot holds
-  // one word, and a racing publish is caught by the publisher's re-validate,
-  // not by this scan's order).
+  // One seq_cst fence, then acquire slot loads (DESIGN.md §15
+  // HP-SCAN-FENCE). The Dekker pattern needs the *scan* ordered after this
+  // thread's retire bookkeeping and against each protector's seq_cst slot
+  // publish (HP-PROT); a single fence joining S before the loop gives every
+  // subsequent load that position, so per-slot seq_cst loads were O(threads)
+  // redundant fences on ARM. The loads must still be acquire: a slot read
+  // that returns a peer's release `clear` is what orders that peer's last
+  // reads of the node before the deleter below frees or resets it.
   std::atomic_thread_fence(std::memory_order_seq_cst);
   for (unsigned t = 0; t < hw; ++t) {
     WCQ_EVENT(kHazardScan);
     for (const auto& s : impl_->rows[t].slots) {
-      void* p = s.load(std::memory_order_relaxed);
+      void* p = s.load(std::memory_order_acquire);
       if (p != nullptr) hazards.push_back(p);
     }
   }

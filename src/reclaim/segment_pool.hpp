@@ -29,11 +29,13 @@
 // pool, byte for byte).
 //
 // Memory bound: the pool never holds more than cap() nodes, where cap is
-// min(slot-array size, kPerThread * (registered threads + 1)). The cap check
-// against the approximate size counter is advisory — concurrent puts can
-// overshoot by at most one node per putting thread — so total parked memory
-// stays O(threads * segment size), preserving the paper's bounded-memory
-// property (DESIGN.md §8). Rejected puts are the caller's to free.
+// min(slot-array size, kPerThread * (registered threads + 1)). The bound is
+// hard: a put first reserves a place in the size counter with a CAS that
+// never raises it past cap(), then scans for a slot, and gives the place back
+// if it finds none. The cap only grows (it follows the registry high water),
+// so concurrent recyclers can never overshoot it. Total parked memory stays
+// O(threads * segment size), preserving the paper's bounded-memory property
+// (DESIGN.md §8). Rejected puts are the caller's to free.
 //
 // Publication contract: try_put's successful CAS is a release store and
 // try_get's claim is an acquire read of the same slot, so everything the
@@ -94,16 +96,12 @@ class SegmentPool {
 
   // Park `n`; false when the pool is at its cap (caller frees the node).
   // On success the pool owns the node until a try_get claims it.
-  bool try_put(Node* n) {
-    if (size_.load(std::memory_order_relaxed) >= cap()) return false;
-    return put_range(n, 0, slots_.size(), ~0u);
-  }
+  bool try_put(Node* n) { return put_range(n, 0, slots_.size(), ~0u); }
 
   // Park `n` in `node`'s partition only; false when that partition (or the
   // global cap) is full — the caller frees, same as the flat overflow path.
   bool try_put(unsigned node, Node* n) {
     const unsigned p = node < parts_ ? node : 0;
-    if (size_.load(std::memory_order_relaxed) >= cap()) return false;
     return put_range(n, lo(p), hi(p), p);
   }
 
@@ -115,7 +113,8 @@ class SegmentPool {
     return dynamic < slots_.size() ? dynamic : slots_.size();
   }
 
-  // Approximate count of parked nodes (exact at quiescence).
+  // Parked nodes plus puts in flight (exact at quiescence); never above
+  // cap().
   std::size_t size() const { return size_.load(std::memory_order_relaxed); }
 
   // Approximate count parked in `node`'s partition (exact at quiescence).
@@ -164,7 +163,14 @@ class SegmentPool {
     return nullptr;
   }
 
+  // Reserve a place under cap() in size_, then claim a slot in [b, e); the
+  // reservation is given back when the range has no empty slot.
   bool put_range(Node* n, std::size_t b, std::size_t e, unsigned p) {
+    const std::size_t limit = cap();
+    std::size_t s = size_.load(std::memory_order_relaxed);
+    do {
+      if (s >= limit) return false;
+    } while (!size_.compare_exchange_weak(s, s + 1, std::memory_order_relaxed));
     for (std::size_t i = b; i < e; ++i) {
       Node* expected = nullptr;
       WCQ_EVENT(kPoolOp);
@@ -172,12 +178,12 @@ class SegmentPool {
           slots_[i].value.compare_exchange_strong(
               expected, n, std::memory_order_release,
               std::memory_order_relaxed)) {
-        size_.fetch_add(1, std::memory_order_relaxed);
         const unsigned owner = p != ~0u ? p : part_of_[i];
         psize_[owner].value.fetch_add(1, std::memory_order_relaxed);
         return true;
       }
     }
+    size_.fetch_sub(1, std::memory_order_relaxed);
     return false;
   }
 

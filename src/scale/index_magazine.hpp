@@ -186,8 +186,13 @@ class IndexMagazines {
   // Exclusive-access rewind (the reset path, DESIGN.md §8/§9): empty every
   // magazine. The caller guarantees no concurrent operation and no
   // concurrent exit flush (BoundedQueue serializes both on its flush lock).
+  // Only blocks below the registry high water are touched: every put, steal
+  // and flush acts on the block of a registered tid, and the high water only
+  // grows, so blocks at or above it are still in their constructed state.
   void clear() {
-    for (unsigned t = 0; t < max_threads(); ++t) {
+    const unsigned hw = ThreadRegistry::high_water();
+    const unsigned n = hw < max_threads() ? hw : max_threads();
+    for (unsigned t = 0; t < n; ++t) {
       std::atomic<u64>* m = block(t);
       for (std::size_t i = 0; i < cap_; ++i) {
         slot(m, i).store(kNone, std::memory_order_relaxed);

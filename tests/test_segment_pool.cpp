@@ -55,6 +55,91 @@ TYPED_TEST(RingResetTest, ReusableAcrossGenerations) {
   }
 }
 
+// ---- ring layer: prefill() stores what n fast-path enqueues leave --------
+
+template <typename Ring>
+class RingPrefillTest : public ::testing::Test {};
+TYPED_TEST_SUITE(RingPrefillTest, RingTypes);
+
+constexpr unsigned kPrefillOrder = 5;
+
+// `pre` (order kPrefillOrder) was prefilled; a fresh ring filled by
+// capacity() enqueues must agree on every counter, and `pre` must then yield
+// 0..n-1 in order and be empty.
+template <typename Ring>
+void expect_prefill_matches_enqueues(Ring& pre) {
+  Ring ref(kPrefillOrder);
+  for (u64 i = 0; i < ref.capacity(); ++i) ref.enqueue(i);
+  EXPECT_EQ(pre.head(), ref.head());
+  EXPECT_EQ(pre.tail(), ref.tail());
+  EXPECT_EQ(pre.threshold(), ref.threshold());
+  for (u64 i = 0; i < pre.capacity(); ++i) {
+    const auto v = pre.dequeue();
+    ASSERT_TRUE(v.has_value()) << "prefilled index " << i << " missing";
+    ASSERT_EQ(*v, i) << "prefill broke FIFO order";
+  }
+  EXPECT_FALSE(pre.dequeue().has_value());
+}
+
+TYPED_TEST(RingPrefillTest, FreshRingMatchesEnqueueFill) {
+  TypeParam q(kPrefillOrder);
+  q.prefill();
+  expect_prefill_matches_enqueues(q);
+}
+
+TYPED_TEST(RingPrefillTest, ResetRingMatchesEnqueueFill) {
+  TypeParam q(kPrefillOrder);
+  for (int gen = 0; gen < 3; ++gen) {
+    // Several laps, then stragglers, so every slot carries a later cycle.
+    for (u64 round = 0; round < 3; ++round) {
+      for (u64 i = 0; i < q.capacity(); ++i) q.enqueue(i);
+      for (u64 i = 0; i < q.capacity(); ++i) {
+        ASSERT_EQ(q.dequeue().value(), i);
+      }
+    }
+    for (u64 i = 0; i < q.capacity() / 2; ++i) q.enqueue(i);
+    q.reset();
+    q.prefill();
+    expect_prefill_matches_enqueues(q);
+    // The refilled ring keeps working across its next wraparounds.
+    for (u64 round = 0; round < 3; ++round) {
+      for (u64 i = 0; i < q.capacity(); ++i) q.enqueue(i);
+      for (u64 i = 0; i < q.capacity(); ++i) {
+        ASSERT_EQ(q.dequeue().value(), i) << "generation " << gen;
+      }
+    }
+  }
+}
+
+// Threads circulate the prefilled indices (dequeue one, enqueue it back), so
+// at most capacity() indices are ever live; afterwards every index must be
+// in the ring exactly once.
+TYPED_TEST(RingPrefillTest, MpmcPrefilledIndicesCirculateExactlyOnce) {
+  TypeParam q(3);
+  q.prefill();
+  const u64 rounds = testing::scale_items(20000);
+  std::vector<std::thread> ts;
+  for (int t = 0; t < 4; ++t) {
+    ts.emplace_back([&] {
+      for (u64 r = 0; r < rounds; ++r) {
+        if (const auto v = q.dequeue()) {
+          ASSERT_LT(*v, q.capacity());
+          q.enqueue(*v);
+        }
+      }
+    });
+  }
+  for (auto& t : ts) t.join();
+  std::vector<int> seen(q.capacity(), 0);
+  while (const auto v = q.dequeue()) {
+    ASSERT_LT(*v, q.capacity());
+    ++seen[*v];
+  }
+  for (u64 i = 0; i < q.capacity(); ++i) {
+    EXPECT_EQ(seen[i], 1) << "index " << i;
+  }
+}
+
 // ---- bounded layer: reset() destroys stragglers and refills fq ------------
 
 struct Counted {
@@ -105,6 +190,58 @@ TYPED_TEST(BoundedResetTest, DestroysStragglersAndRefills) {
     }
   }
   EXPECT_EQ(Counted::live.load(), 0);
+}
+
+// reset() rewinds wCQ records and magazines only below the registry high
+// water (DESIGN.md §8). A thread registered after the reset with a tid at
+// or above that mark must still find its rows in their constructed state:
+// exactly capacity() enqueues succeed, then full, with nothing cached.
+TYPED_TEST(BoundedResetTest, ThreadAboveResetHighWaterGetsExactCapacity) {
+  BoundedQueue<u64, TypeParam> q(6);
+  for (int lap = 0; lap < 3; ++lap) {
+    for (u64 i = 0; i < q.capacity(); ++i) ASSERT_TRUE(q.enqueue(i));
+    for (u64 i = 0; i < q.capacity(); ++i) ASSERT_TRUE(q.dequeue());
+  }
+  q.reset();
+  const unsigned hw = ThreadRegistry::high_water();
+  ASSERT_LT(hw, ThreadRegistry::kMaxThreads);
+
+  // Registry slots are handed out lowest-free first, so park registered
+  // threads until one holds a tid at or above `hw`; that one runs the check
+  // while the others keep the lower slots taken.
+  u64 got = 0;
+  bool full_after = false;
+  std::size_t cached_at_full = ~std::size_t{0};
+  std::atomic<int> last_tid{-1};
+  std::atomic<bool> release{false};
+  std::vector<std::thread> holders;
+  bool checked = false;
+  for (unsigned k = 0; k <= hw && !checked; ++k) {
+    last_tid.store(-1);
+    holders.emplace_back([&] {
+      const unsigned tid = ThreadRegistry::tid();
+      if (tid >= hw) {
+        for (u64 i = 0; i <= q.capacity(); ++i) {
+          if (!q.enqueue(i)) {
+            full_after = true;
+            break;
+          }
+          ++got;
+        }
+        cached_at_full = q.magazine_cached();
+      }
+      last_tid.store(static_cast<int>(tid));
+      while (!release.load()) std::this_thread::yield();
+    });
+    while (last_tid.load() < 0) std::this_thread::yield();
+    checked = static_cast<unsigned>(last_tid.load()) >= hw;
+  }
+  release.store(true);
+  for (auto& t : holders) t.join();
+  ASSERT_TRUE(checked) << "no thread registered above the old high water";
+  EXPECT_EQ(got, q.capacity());
+  EXPECT_TRUE(full_after) << "more than capacity() enqueues succeeded";
+  EXPECT_EQ(cached_at_full, 0u);
 }
 
 // ---- reclaim layer: SegmentPool free list ---------------------------------
