@@ -39,9 +39,7 @@ class YMCQueue {
   static constexpr u64 kSegCells = u64{1} << kSegOrder;
 
   YMCQueue() {
-    Segment* s = Segment::create(0);
-    first_seg_.store(s, std::memory_order_relaxed);
-    first_id_.store(0, std::memory_order_relaxed);
+    first_seg_.store(Segment::create(0), std::memory_order_relaxed);
   }
 
   ~YMCQueue() {
@@ -95,8 +93,8 @@ class YMCQueue {
         }
       }
       if (v != kTop) {
-        maybe_reclaim(i);
         hp.clear_all();
+        maybe_reclaim(i);
         return v;
       }
       // Poisoned a vacant cell: if no enqueuer is ahead, report empty and
@@ -107,8 +105,8 @@ class YMCQueue {
         while (e < i + 1 && !ei_.value.compare_exchange_weak(
                                 e, i + 1, std::memory_order_seq_cst)) {
         }
-        maybe_reclaim(i);
         hp.clear_all();
+        maybe_reclaim(i);
         return std::nullopt;
       }
     }
@@ -155,16 +153,20 @@ class YMCQueue {
   };
 
   // Protect and return the current first segment. protect() validates the
-  // pointer against the source, so once returned the segment cannot be
-  // freed until we clear the slot, and every segment after it is still
-  // linked (only the strict prefix is ever unlinked).
+  // pointer against the source, and maybe_reclaim() never unlinks a
+  // protected segment, so until we clear the slot the segment stays linked
+  // — and with it every segment after it (only a prefix is ever unlinked).
+  // Every rank this operation can draw lies in or after it.
   Segment* acquire_start_segment(HazardDomain& hp) {
     return hp.protect(kHpSeg, first_seg_);
   }
 
   // Hand-over-hand protected walk to segment `want` (allocating missing
   // segments at the end of the list). On return the result is protected by
-  // kHpSeg, which the caller keeps until its cell access is done.
+  // kHpSeg, which the caller keeps until its cell access is done. `seg` is
+  // protected and therefore linked, so its successor is linked too and the
+  // hop needs no validation beyond publishing it: `next` cannot be unlinked
+  // (let alone freed) while `seg` is still held.
   Segment* walk_to(HazardDomain& hp, Segment* seg, u64 want) {
     while (seg->id < want) {
       Segment* next = hp.protect(kHpHop, seg->next);
@@ -185,10 +187,18 @@ class YMCQueue {
     return seg;
   }
 
-  // Unlink and retire every segment both indices have moved past. Runs at a
-  // coarse cadence under a CAS lock; actual frees are gated by hazard
-  // pointers, so a stalled in-flight operation pins memory — YMC's
-  // documented reclamation weakness.
+  // Unlink and retire every segment both indices have moved past, stopping
+  // at the first segment an in-flight operation protects. Runs at a coarse
+  // cadence under a CAS lock. The indices alone do not prove a segment
+  // unused: an operation that drew its rank in segment w may still be
+  // walking towards it from an older protected segment while both indices
+  // run past w, and unlinking its path would leave it reading a freed
+  // successor through a link that never changes. So each unlink is
+  // published first and then checked against every hazard slot (the
+  // hazard-pointer Dekker shape: a walker either validates against the new
+  // first segment or is seen here); a protected segment is put back and the
+  // sweep stops. A stalled in-flight operation therefore pins memory —
+  // YMC's documented reclamation weakness.
   void maybe_reclaim(u64 rank) {
     if ((rank & kReclaimMask) != 0) return;
     bool expected = false;
@@ -205,7 +215,10 @@ class YMCQueue {
       Segment* next = s->next.load(std::memory_order_acquire);
       if (next == nullptr) break;
       first_seg_.store(next, std::memory_order_seq_cst);
-      first_id_.store(next->id, std::memory_order_seq_cst);
+      if (hp.is_protected(s)) {
+        first_seg_.store(s, std::memory_order_release);
+        break;
+      }
       hp.retire(s, &Segment::retire_cb);
       s = next;
     }
@@ -215,7 +228,6 @@ class YMCQueue {
   alignas(kDestructiveRange) CacheAligned<std::atomic<u64>> ei_;
   alignas(kDestructiveRange) CacheAligned<std::atomic<u64>> di_;
   alignas(kDestructiveRange) std::atomic<Segment*> first_seg_;
-  std::atomic<u64> first_id_;
   CacheAligned<std::atomic<bool>> reclaiming_;
 };
 

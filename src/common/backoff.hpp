@@ -62,6 +62,30 @@ class Backoff {
     }
   }
 
+  // pause() that ends its spin train early once `ready()` holds: the same
+  // ladder (the round advances whether or not the train was cut short, so
+  // the spin budget before yielding is unchanged), but the caller reacts
+  // within one cpu_relax() of its condition turning true. `ready` is
+  // evaluated at most 2^shift times per spin round and never in the yield
+  // phase. Returns whether `ready()` held. Channel's blocking receive polls
+  // a read-only readiness hint through this instead of retrying the
+  // destructive dequeue every round (DESIGN.md §14).
+  template <typename Ready>
+  bool pause_until(Ready&& ready) {
+    if (round_ >= spin_rounds_) {
+      pause();
+      return false;
+    }
+    const std::uint32_t shift =
+        round_ < kMaxRelaxShift ? round_ : kMaxRelaxShift;
+    ++round_;
+    for (std::uint32_t i = 0; i < (std::uint32_t{1} << shift); ++i) {
+      cpu_relax();
+      if (ready()) return true;
+    }
+    return false;
+  }
+
   // Deadline-aware pause() for spin-then-park loops (runtime/channel.hpp):
   // identical ladder, but returns false once `deadline` has passed so the
   // caller can stop retrying. The clock is read only after the spin rounds

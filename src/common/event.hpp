@@ -69,6 +69,7 @@ enum class Event : std::uint8_t {
   kParkWake,        // eventcount notify: epoch bump / futex wake edge
   kChanClose,       // channel close: closed-flag publish before the wakes
   kTailStore,       // SpmcRing's single-writer Tail reservation store
+  kReadyPoll,       // blocking receive's spin-phase readiness-hint poll
   // -- counters only --------------------------------------------------------
   kSlowFaaGranted,  // slow_F&A's published increment succeeded
   kRegistryLookup,  // ThreadRegistry::tid()/high_water() resolution
@@ -113,6 +114,7 @@ inline constexpr EventTraits kEventTable[] = {
     {Event::kParkWake, nullptr, true},
     {Event::kChanClose, nullptr, true},
     {Event::kTailStore, nullptr, true},
+    {Event::kReadyPoll, nullptr, true},
     {Event::kSlowFaaGranted, &opcount::Counters::faa, false},
     {Event::kRegistryLookup, &opcount::Counters::registry, false},
     {Event::kRemoteSteal, &opcount::Counters::remote_steal, false},

@@ -316,6 +316,17 @@ class BoundedQueue {
     return out;
   }
 
+  // Read-only readiness hint: false when a dequeue would have found the data
+  // ring empty at the time of the reads, true when an element may be ready
+  // (an enqueuer may still sit between its Tail F&A and its entry write).
+  // Two acquire loads and no store, so a blocking receiver can poll it
+  // without burning Head ranks or Threshold budget (Channel, DESIGN.md §14).
+  // Every value is still taken by a real dequeue; the hint only gates when
+  // to try one. `h` keeps the signature uniform with ShardedQueue's.
+  bool maybe_nonempty(const Handle& /*h*/) const {
+    return aq_.tail() > aq_.head();
+  }
+
   // Batch insert (DESIGN.md §7): enqueues up to `n` values from `first`,
   // returning how many were taken. Exactly the first `ret` elements are
   // moved-from (a const source is copied instead); partial success means the

@@ -164,6 +164,20 @@ void HazardDomain::scan(unsigned tid) {
   list.swap(keep);
 }
 
+bool HazardDomain::is_protected(const void* p) {
+  // HP-SCAN-FENCE, as in scan(): one seq_cst fence orders the caller's
+  // unlink before the slot loads.
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  const unsigned hw = ThreadRegistry::high_water();
+  for (unsigned t = 0; t < hw; ++t) {
+    WCQ_EVENT(kHazardScan);
+    for (const auto& s : impl_->rows[t].slots) {
+      if (s.load(std::memory_order_acquire) == p) return true;
+    }
+  }
+  return false;
+}
+
 void HazardDomain::drain() {
   for (unsigned t = 0; t < kMaxThreads; ++t) {
     auto& list = impl_->retired[t].list;

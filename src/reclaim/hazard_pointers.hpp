@@ -113,6 +113,13 @@ class HazardDomain {
   // per-tid) instead of the domain resolving ThreadRegistry::tid().
   void retire(unsigned tid, void* p, void (*deleter)(void*, void*), void* ctx);
 
+  // True if some thread's hazard slot currently holds `p`. For an owner that
+  // has just unlinked `p` (a seq_cst store) and must know whether an
+  // in-flight reader still holds it: same fence-then-scan shape as a
+  // retire scan, so a protector either sees the unlink when it validates or
+  // is seen here.
+  bool is_protected(const void* p);
+
   // Drain every retire list that can be drained (called by queue dtors;
   // correct only when no other thread is inside the data structure).
   void drain();

@@ -23,10 +23,13 @@
 //
 // Parking protocol (per direction — receivers park on not_empty_, senders on
 // not_full_): the op spins through its session handle's Backoff ladder, then
-// enters the eventcount's prepare / re-check / commit sequence. The re-check
-// between prepare_wait and commit_wait retries the queue op itself (not a
-// size hint), so the element a racing peer published is taken rather than
-// slept through; EventCount's seq_cst fence pair closes the remaining
+// enters the eventcount's prepare / re-check / commit sequence. A receiver's
+// spin phase polls the queue's read-only maybe_nonempty() hint and runs a
+// real dequeue only when it fires: an empty-ring dequeue is not free (a Head
+// rank, a Tail catchup, a Threshold decrement — writes to the lines the
+// sender needs next). The re-check between prepare_wait and commit_wait
+// retries the queue op itself (not the hint), so the element a racing peer
+// published is taken rather than slept through; EventCount's seq_cst fence pair closes the remaining
 // store-buffer window (the PARK-DEKKER argument in eventcount.hpp). The
 // analysis tier's mutation self-tests break exactly these two edges — a
 // dropped post-send wake (WCQ_ANALYSIS_MUTATE_DROPWAKE) and a skipped
@@ -344,17 +347,7 @@ class Channel {
         }
         return ChanStatus::kClosed;
       }
-      if (!h.backoff_.yielding()) {
-        if (has_deadline) {
-          if (!h.backoff_.until(deadline)) {
-            recv_timeouts_.fetch_add(1, std::memory_order_relaxed);
-            return ChanStatus::kTimeout;
-          }
-        } else {
-          h.backoff_.pause();
-        }
-        continue;
-      }
+      if (spin_until_ready(h)) continue;
       const EventCount::Ticket t = not_empty_.prepare_wait();
 #if defined(WCQ_ANALYSIS_MUTATE_SKIP_RECHECK)
       // Mutation self-test: park without re-running the dequeue. An element
@@ -395,6 +388,30 @@ class Channel {
         not_empty_.commit_wait(t);
       }
     }
+  }
+
+  // Spin phase of a blocking receive: run the rest of the session's Backoff
+  // ladder polling the queue's read-only readiness hint and the close flag.
+  // Returns true as soon as either says a dequeue is worth retrying, false
+  // once the ladder reaches its yield phase (time to park). A failed dequeue
+  // takes a Head rank, may CAS Tail and decrements Threshold — the very
+  // lines the sender is about to write — so the spin phase reads instead.
+  // The deadline is not consulted: the ladder is microseconds long and
+  // clock-free, and commit_wait_until enforces the deadline after it. One
+  // preempting event per round, not per poll: under the analysis scheduler
+  // no peer runs between two polls of a round, so they all read the same
+  // state, and a per-poll event would only stretch the spin phase by ~190
+  // scheduling points.
+  bool spin_until_ready(Handle& h) {
+    const auto ready = [&] {
+      return q_.maybe_nonempty(h.qh_) ||
+             closed_.load(std::memory_order_acquire);  // CHAN-CLOSE
+    };
+    while (!h.backoff_.yielding()) {
+      WCQ_EVENT(kReadyPoll);
+      if (h.backoff_.pause_until(ready)) return true;
+    }
+    return false;
   }
 
   Q q_;

@@ -367,6 +367,16 @@ class ShardedQueue {
     return dequeue(sweep_for(h));
   }
 
+  // Read-only readiness hint (BoundedQueue::maybe_nonempty) over the shards
+  // the session's dequeue sweep visits: true if any of them may hold an
+  // element.
+  bool maybe_nonempty(const Handle& h) const {
+    for (const unsigned i : h.sweep_) {
+      if (shards_[i]->maybe_nonempty(h.shards_[i])) return true;
+    }
+    return false;
+  }
+
   // Batch insert: places up to `n` elements (home shard first, spilling the
   // remainder across the sweep) and returns how many were taken; exactly the
   // first `ret` elements of `first` are moved-from. Partial success means

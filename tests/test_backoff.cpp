@@ -90,6 +90,50 @@ TEST(Backoff, UntilExpiresWithinTolerance) {
   EXPECT_LT(overshoot, std::chrono::seconds(1));
 }
 
+TEST(Backoff, PauseUntilEarlyExitStillAdvancesTheRound) {
+  // A satisfied predicate cuts the spin train short but still costs the
+  // round, so the spin budget before yielding is the plain ladder's.
+  Backoff bo;
+  int calls = 0;
+  EXPECT_TRUE(bo.pause_until([&] { return ++calls > 0; }));
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(bo.round(), 1u);
+  EXPECT_TRUE(bo.pause_until([&] { return ++calls > 0; }));
+  EXPECT_EQ(calls, 2) << "a true predicate ends the train at once";
+  EXPECT_EQ(bo.round(), 2u);
+}
+
+TEST(Backoff, PauseUntilReachesYieldingAfterSpinRounds) {
+  Backoff bo;
+  const auto never = [] { return false; };
+  for (std::uint32_t i = 0; i < Backoff::kSpinRounds; ++i) {
+    EXPECT_FALSE(bo.yielding()) << "escalated early at round " << i;
+    EXPECT_FALSE(bo.pause_until(never));
+  }
+  EXPECT_TRUE(bo.yielding());
+  EXPECT_EQ(bo.yields(), 0u) << "spin rounds must not yield";
+  int calls = 0;
+  EXPECT_FALSE(bo.pause_until([&] { return ++calls > 0; }));
+  EXPECT_EQ(calls, 0) << "the yield phase does not poll";
+  EXPECT_EQ(bo.yields(), 1u);
+}
+
+TEST(Backoff, PauseUntilPollsAtMostTheRoundsRelaxCount) {
+  // Round r polls once per cpu_relax(): 2^min(r, kMaxRelaxShift) times when
+  // the predicate never holds, never more.
+  Backoff bo;
+  for (std::uint32_t r = 0; r < Backoff::kSpinRounds; ++r) {
+    std::uint32_t calls = 0;
+    bo.pause_until([&] {
+      ++calls;
+      return false;
+    });
+    const std::uint32_t shift =
+        r < Backoff::kMaxRelaxShift ? r : Backoff::kMaxRelaxShift;
+    EXPECT_EQ(calls, std::uint32_t{1} << shift) << "round " << r;
+  }
+}
+
 TEST(Backoff, CpuRelaxExecutesOnThisIsa) {
   // cpu_relax() must emit a real instruction on every supported ISA (PAUSE
   // on x86, ISB on AArch64 — the aarch64 qemu CI job executes this path;

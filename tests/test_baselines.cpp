@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -13,6 +14,7 @@
 #include "baselines/lcrq.hpp"
 #include "baselines/ms_queue.hpp"
 #include "baselines/ymc_queue.hpp"
+#include "common/cpu.hpp"
 #include "mpmc_harness.hpp"
 #include "reclaim/hazard_pointers.hpp"
 
@@ -160,6 +162,52 @@ TEST(Ymc, SegmentsAreReclaimed) {
   }
   HazardDomain::global().drain();  // quiescent: flush retired segments
   EXPECT_LT(q.live_segments(), 10u) << "segment list grew without bound";
+}
+
+TEST(Ymc, OversubscribedProducerConsumerKeepsOrder) {
+  // Regression for a walk-vs-unlink use-after-free. The consumer's empty
+  // dequeues pull Ei forward, so both indices can run past the segment a
+  // preempted producer is still walking to; reclamation used to unlink and
+  // free that path under the walker, which then read a freed successor
+  // (ASan: heap-use-after-free; release: garbage segment ids and runaway
+  // indices). Two extra spinning threads make preemption mid-walk likely on
+  // small hosts, and a watchdog turns a corrupted walk into a failure
+  // instead of a hang.
+  YMCQueue q;
+  constexpr u64 kItems = 200000;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  std::atomic<bool> stop{false};
+  bool timed_out = false;
+  std::vector<std::thread> spinners;
+  for (int i = 0; i < 2; ++i) {
+    spinners.emplace_back([&] {
+      while (!stop.load(std::memory_order_relaxed)) cpu_relax();
+    });
+  }
+  std::thread prod([&] {
+    for (u64 i = 0; i < kItems && !stop.load(std::memory_order_relaxed);
+         ++i) {
+      q.enqueue(i);
+    }
+  });
+  u64 expect = 0;
+  u64 misordered = 0;
+  while (expect < kItems) {
+    if (auto v = q.dequeue()) {
+      if (*v != expect) ++misordered;
+      ++expect;
+    } else if (std::chrono::steady_clock::now() > deadline) {
+      timed_out = true;
+      break;
+    }
+  }
+  stop.store(true);
+  prod.join();
+  for (auto& t : spinners) t.join();
+  EXPECT_FALSE(timed_out) << "stalled at element " << expect;
+  EXPECT_EQ(misordered, 0u);
+  EXPECT_FALSE(q.dequeue().has_value());
 }
 
 TEST(Ymc, PoisonedCellsDoNotLoseElements) {

@@ -6,6 +6,8 @@
 #include <memory>
 #include <string>
 
+#include "core/mpsc_ring.hpp"
+#include "core/spmc_ring.hpp"
 #include "core/wcq_llsc.hpp"
 #include "mpmc_harness.hpp"
 
@@ -39,6 +41,38 @@ TYPED_TEST(BoundedQueueTest, FullSemantics) {
   EXPECT_EQ(*v, 0u);
   EXPECT_TRUE(q.enqueue(999)) << "one slot freed: enqueue must succeed";
   EXPECT_FALSE(q.enqueue(1000));
+}
+
+// The read-only readiness hint blocking receivers poll (Channel, DESIGN.md
+// §14): false on an empty data ring — including after an empty dequeue's
+// Head F&A and Tail catchup — true while an element is queued.
+template <typename Q>
+void check_readiness_hint(Q& q) {
+  auto h = q.acquire();
+  EXPECT_FALSE(q.maybe_nonempty(h)) << "fresh queue";
+  ASSERT_TRUE(q.enqueue(h, 1));
+  ASSERT_TRUE(q.enqueue(h, 2));
+  EXPECT_TRUE(q.maybe_nonempty(h));
+  ASSERT_TRUE(q.dequeue(h).has_value());
+  EXPECT_TRUE(q.maybe_nonempty(h)) << "one element left";
+  ASSERT_TRUE(q.dequeue(h).has_value());
+  EXPECT_FALSE(q.maybe_nonempty(h)) << "drained";
+  for (int i = 0; i < 3; ++i) EXPECT_FALSE(q.dequeue(h).has_value());
+  EXPECT_FALSE(q.maybe_nonempty(h)) << "after empty dequeues";
+  ASSERT_TRUE(q.enqueue(h, 3));
+  EXPECT_TRUE(q.maybe_nonempty(h)) << "enqueue after empty dequeues";
+}
+
+TYPED_TEST(BoundedQueueTest, ReadinessHintTracksContents) {
+  BoundedQueue<u64, TypeParam> q(4);
+  check_readiness_hint(q);
+}
+
+TEST(BoundedQueueHint, ReadinessHintOnDegreeSpecializedRings) {
+  BoundedQueue<u64, MpscRing> mpsc(4);
+  check_readiness_hint(mpsc);
+  BoundedQueue<u64, SpmcRing> spmc(4);
+  check_readiness_hint(spmc);
 }
 
 TYPED_TEST(BoundedQueueTest, MpmcExactlyOnce) {

@@ -325,6 +325,63 @@ TEST(Channel, FastPathAddsZeroRingFaas) {
       << "nothing should park in a single-threaded ping-pong";
 }
 
+TEST(Channel, BlockedRecvPollsTheHintNotTheRing) {
+  // A receiver waiting on an empty channel spins on the queue's read-only
+  // readiness hint; a failed dequeue takes a Head rank (one ring F&A), so
+  // retrying it every backoff round would cost one F&A per round (>= 9 for
+  // the 8-round ladder). What is left is exactly the first attempt, the
+  // pre-park re-check and the attempt after the timeout.
+  Channel<std::uint64_t> ch(8u);
+  auto h = ch.acquire();
+  std::uint64_t out = 0;
+  ASSERT_EQ(ch.send(h, 1), ChanStatus::kOk);
+  ASSERT_EQ(ch.recv(h, out), ChanStatus::kOk);
+  const auto before = opcount::snapshot();
+  EXPECT_EQ(ch.recv_for(h, out, 50ms), ChanStatus::kTimeout);
+  const auto after = opcount::snapshot();
+  EXPECT_LE(after.faa - before.faa, 3u);
+  EXPECT_EQ(ch.stats().recv_parks, 1u);
+}
+
+TEST(Channel, ShardedMpmcBlockingExactlyOnce) {
+  // Blocking MPMC over the sharded backend: receivers spin on the hint
+  // across their whole sweep and park on empty, senders park on full
+  // (2 shards x 4 slots), close() ends the receivers. Every element is
+  // delivered exactly once.
+  using Sharded = ShardedQueue<std::uint64_t>;
+  Channel<std::uint64_t, Sharded> ch(typename Sharded::Options{2, 2});
+  constexpr unsigned kSenders = 3;
+  constexpr unsigned kReceivers = 3;
+  constexpr std::uint64_t kPerSender = 20000;
+  std::vector<std::thread> ts;
+  std::atomic<unsigned> senders_left{kSenders};
+  std::atomic<std::uint64_t> sum{0};
+  std::atomic<std::uint64_t> count{0};
+  for (unsigned s = 0; s < kSenders; ++s) {
+    ts.emplace_back([&, s] {
+      auto h = ch.acquire();
+      for (std::uint64_t i = 0; i < kPerSender; ++i) {
+        ASSERT_EQ(ch.send(h, s * kPerSender + i), ChanStatus::kOk);
+      }
+      if (senders_left.fetch_sub(1) == 1) ch.close();
+    });
+  }
+  for (unsigned r = 0; r < kReceivers; ++r) {
+    ts.emplace_back([&] {
+      auto h = ch.acquire();
+      std::uint64_t out = 0;
+      while (ch.recv(h, out) == ChanStatus::kOk) {
+        sum.fetch_add(out, std::memory_order_relaxed);
+        count.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  for (auto& t : ts) t.join();
+  const std::uint64_t n = kSenders * kPerSender;
+  EXPECT_EQ(count.load(), n);
+  EXPECT_EQ(sum.load(), n * (n - 1) / 2);
+}
+
 TEST(Channel, StatsSurfaceDegradedModes) {
   Channel<std::uint64_t> ch(2u);
   auto h = ch.acquire();

@@ -84,6 +84,21 @@ TEST(ShardedQueue, StealFindsElementFromForeignShard) {
   consumer.join();
 }
 
+TEST(ShardedQueue, ReadinessHintCoversTheSweep) {
+  // maybe_nonempty() answers for every shard the session's dequeue sweep
+  // visits, not just the home shard (Channel over ShardedQueue polls it).
+  ShardedQueue<u64> q(4, 4);
+  auto h = q.acquire();
+  EXPECT_FALSE(q.maybe_nonempty(h));
+  const unsigned foreign = (h.home_shard() + 1) % q.shard_count();
+  ASSERT_TRUE(q.shard(foreign).enqueue(7));
+  EXPECT_TRUE(q.maybe_nonempty(h)) << "element in a non-home shard";
+  auto v = q.dequeue(h);
+  ASSERT_TRUE(v.has_value());
+  EXPECT_EQ(*v, 7u);
+  EXPECT_FALSE(q.maybe_nonempty(h));
+}
+
 TEST(ShardedQueue, BulkPartialSuccessAtFullAndEmpty) {
   ShardedQueue<u64> q(2, 3);  // capacity 16 total
   std::vector<u64> in(q.capacity() + 5);
