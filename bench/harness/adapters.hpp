@@ -16,9 +16,7 @@
 #include "baselines/ymc_queue.hpp"
 #include "common/env.hpp"
 #include "core/bounded_queue.hpp"
-#include "core/mpsc_ring.hpp"
 #include "core/scq.hpp"
-#include "core/spmc_ring.hpp"
 #include "core/unbounded_queue.hpp"
 #include "core/wcq.hpp"
 #include "core/wcq_llsc.hpp"
@@ -341,128 +339,6 @@ struct ShardedAdapter {
   }
   static std::size_t dequeue_bulk(Queue& q, u64* out, std::size_t n) {
     return q.dequeue_bulk(out, n);
-  }
-};
-
-// Degree-specialized rings (DESIGN.md §13). Valid only under workloads that
-// respect the degree restriction — bench_pipeline runs Mpsc on p8to1 points
-// with exactly one consumer-role worker and Spmc on p1to8 points with one
-// producer; any other shape trips the rings' SessionGuard by design.
-struct MpscAdapter {
-  static constexpr const char* kName = "Mpsc";
-  using Queue = MpscRing;
-  static Queue* create() { return new Queue(ring_order()); }
-  static void destroy(Queue* q) { delete q; }
-  static bool enqueue(Queue& q, u64 v) {
-    q.enqueue(v & (q.capacity() - 1));
-    return true;
-  }
-  static bool dequeue(Queue& q, u64& out) {
-    auto v = q.dequeue();
-    if (!v) return false;
-    out = *v;
-    return true;
-  }
-  static std::size_t enqueue_bulk(Queue& q, const u64* v, std::size_t n) {
-    return detail::ring_enqueue_bulk(q, v, n);
-  }
-  static std::size_t dequeue_bulk(Queue& q, u64* out, std::size_t n) {
-    return q.dequeue_bulk(out, n);
-  }
-};
-
-struct SpmcAdapter {
-  static constexpr const char* kName = "Spmc";
-  using Queue = SpmcRing;
-  static Queue* create() { return new Queue(ring_order()); }
-  static void destroy(Queue* q) { delete q; }
-  static bool enqueue(Queue& q, u64 v) {
-    q.enqueue(v & (q.capacity() - 1));
-    return true;
-  }
-  static bool dequeue(Queue& q, u64& out) {
-    auto v = q.dequeue();
-    if (!v) return false;
-    out = *v;
-    return true;
-  }
-  static std::size_t enqueue_bulk(Queue& q, const u64* v, std::size_t n) {
-    return detail::ring_enqueue_bulk(q, v, n);
-  }
-  static std::size_t dequeue_bulk(Queue& q, u64* out, std::size_t n) {
-    return q.dequeue_bulk(out, n);
-  }
-};
-
-// Consumer-role count for the Sharded-pipeline adapter; bench_pipeline sets
-// it per point to the skewed workload's minority size so consumers divide
-// the shards among themselves (consumer c owns shards i ≡ c mod consumers).
-inline unsigned g_pipeline_consumers = 1;
-
-// Mode::kPipeline over MpscRing shards (DESIGN.md §13): producers go
-// through the normal hashing/steal sweep; each dequeuing worker claims a
-// consumer slot on its first dequeue and drains only the shards it owns,
-// through acquire_consumer sessions. The claim is thread_local and the
-// harness spawns fresh workers per measurement run, so each run starts with
-// a clean assignment; the TLS handles are destroyed at worker exit, before
-// the run's Adapter::destroy. A/B against ShardedAdapter at the same shard
-// count measures exactly the MPSC-shard win (the ≥20% BENCH_PR8.json gate).
-struct ShardedPipelineAdapter {
-  static constexpr const char* kName = "Sharded-pipeline";
-  using Shards = ShardedQueue<u64, MpscRing>;
-  struct Queue {
-    Shards q;
-    std::atomic<unsigned> next_consumer{0};
-    explicit Queue(typename Shards::Options o) : q(o) {}
-  };
-  static Queue* create() {
-    typename Shards::Options o;
-    o.shards = sharded_shard_count();
-    o.shard_order = sharded_shard_order();
-    o.mode = Shards::Mode::kPipeline;
-    return new Queue(o);
-  }
-  static void destroy(Queue* q) { delete q; }
-  static bool enqueue(Queue& qq, u64 v) { return qq.q.enqueue(v); }
-  static std::size_t enqueue_bulk(Queue& qq, const u64* v, std::size_t n) {
-    return qq.q.enqueue_bulk(v, n);
-  }
-  static bool dequeue(Queue& qq, u64& out) {
-    for (auto& h : own(qq)) {
-      if (auto v = qq.q.dequeue(h)) {
-        out = *v;
-        return true;
-      }
-    }
-    return false;
-  }
-  static std::size_t dequeue_bulk(Queue& qq, u64* out, std::size_t n) {
-    std::size_t done = 0;
-    for (auto& h : own(qq)) {
-      if (done >= n) break;
-      done += qq.q.dequeue_bulk(h, out + done, n - done);
-    }
-    return done;
-  }
-
- private:
-  // This worker's owned-shard sessions for `qq`, claimed on first use.
-  static std::vector<typename Shards::Handle>& own(Queue& qq) {
-    thread_local std::vector<typename Shards::Handle> handles;
-    thread_local Queue* bound = nullptr;
-    if (bound != &qq) {
-      handles.clear();
-      const unsigned consumers =
-          g_pipeline_consumers > 0 ? g_pipeline_consumers : 1;
-      const unsigned c =
-          qq.next_consumer.fetch_add(1, std::memory_order_relaxed) %
-          consumers;
-      for (unsigned i = c; i < qq.q.shard_count(); i += consumers) {
-        handles.push_back(qq.q.acquire_consumer(i));
-      }
-      bound = &qq;
-    }
-    return handles;
   }
 };
 

@@ -73,12 +73,6 @@ struct PointResult {
   // Per-node throughput, node_mops[k] = Mops executed by workers placed on
   // node k under the pin policy (empty when unpinned: placement unknown).
   std::vector<Summary> node_mops;
-  // Role-split ring counters for the skewed workloads (p8to1/p1to8): F&As
-  // and threshold RMWs per op *executed by that role's workers*. The
-  // consumer split is the check_pipeline.py gate — an MPSC consumer path
-  // must report exactly zero for both — and it is wall-clock-independent,
-  // so it holds on the 1-core runner. Zero for symmetric workloads.
-  Summary cons_faa, cons_thld, prod_faa, prod_thld;
 };
 
 namespace detail {
@@ -164,7 +158,7 @@ struct OpsCtx<Adapter, true> {
 // the p.ops % threads remainder instead of dropping it).
 template <typename Adapter>
 u64 worker_body(OpsCtx<Adapter>& ops, const BenchParams& p, u64 my_ops,
-                unsigned thread_index, unsigned threads, unsigned run) {
+                unsigned thread_index, unsigned run) {
   // Mix the run index into the seed so repeated runs of one point do not
   // replay identical coin-flip/delay sequences (which made the run-to-run
   // spread a fiction for the random workloads).
@@ -333,40 +327,6 @@ u64 worker_body(OpsCtx<Adapter>& ops, const BenchParams& p, u64 my_ops,
       }
       break;
     }
-    case Workload::kP8to1:
-    case Workload::kP1to8: {
-      // Skewed roles (DESIGN.md §13): this worker is a pure producer or a
-      // pure consumer for the whole run, by thread index. Attempt-counting
-      // exactly as kP5050 (a full enqueue or empty dequeue still counts),
-      // so the loop terminates with no cross-role coordination — which is
-      // what keeps the smoke points deterministic on the 1-core runner.
-      const bool consumer =
-          skewed_consumer(p.workload, thread_index, threads);
-      for (u64 i = 0; i < my_ops;) {
-        const u64 span = batch < my_ops - i ? batch : my_ops - i;
-        if constexpr (kBulk) {
-          if (span > 1) {
-            if (consumer) {
-              (void)ops.dequeue_bulk(deq_buf, span);
-            } else {
-              (void)ops.enqueue_bulk(enq_buf, span);
-            }
-            executed += span;
-            i += span;
-            continue;
-          }
-        }
-        if (consumer) {
-          u64 out;
-          (void)ops.dequeue(out);
-        } else {
-          (void)ops.enqueue(payload);
-        }
-        ++executed;
-        ++i;
-      }
-      break;
-    }
   }
   return executed;
 }
@@ -387,9 +347,7 @@ PointResult measure_point(const BenchParams& p, unsigned threads) {
   PointResult result;
   result.threads = threads;
   std::vector<double> mops_samples, live_samples, peak_samples, rss_samples,
-      alloc_samples, faa_samples, thld_samples, reg_samples, steal_samples,
-      cons_faa_samples, cons_thld_samples, prod_faa_samples,
-      prod_thld_samples;
+      alloc_samples, faa_samples, thld_samples, reg_samples, steal_samples;
   std::vector<std::vector<double>> node_samples(node_buckets);
   mops_samples.reserve(p.runs);
   live_samples.reserve(p.runs);
@@ -429,8 +387,7 @@ PointResult measure_point(const BenchParams& p, unsigned threads) {
         ready.fetch_add(1, std::memory_order_acq_rel);
         while (!go.load(std::memory_order_acquire)) cpu_relax();
         const opcount::Counters before = opcount::snapshot();
-        executed[t] =
-            detail::worker_body<Adapter>(ops, p, my_ops, t, threads, run);
+        executed[t] = detail::worker_body<Adapter>(ops, p, my_ops, t, run);
         const opcount::Counters after = opcount::snapshot();
         faa_delta[t] = after.faa - before.faa;
         thld_delta[t] = after.threshold - before.threshold;
@@ -459,36 +416,6 @@ PointResult measure_point(const BenchParams& p, unsigned threads) {
     thld_samples.push_back(static_cast<double>(total_thld) / ops_norm);
     reg_samples.push_back(static_cast<double>(total_reg) / ops_norm);
     steal_samples.push_back(static_cast<double>(total_steal) / ops_norm);
-
-    // Role-split counters (p8to1/p1to8): per-worker deltas attributed to the
-    // worker's fixed role, normalized by that role's executed ops. Counter
-    // sums, not wall-clock, so the consumer-side zeros the pipeline gate
-    // asserts are exact on any host.
-    double cons_faa = 0.0, cons_thld = 0.0, prod_faa = 0.0, prod_thld = 0.0;
-    if (workload_skewed(p.workload)) {
-      u64 c_ops = 0, c_faa = 0, c_thld = 0, p_ops = 0, p_faa = 0, p_thld = 0;
-      for (unsigned t = 0; t < threads; ++t) {
-        if (skewed_consumer(p.workload, t, threads)) {
-          c_ops += executed[t];
-          c_faa += faa_delta[t];
-          c_thld += thld_delta[t];
-        } else {
-          p_ops += executed[t];
-          p_faa += faa_delta[t];
-          p_thld += thld_delta[t];
-        }
-      }
-      const double cn = c_ops > 0 ? static_cast<double>(c_ops) : 1.0;
-      const double pn = p_ops > 0 ? static_cast<double>(p_ops) : 1.0;
-      cons_faa = static_cast<double>(c_faa) / cn;
-      cons_thld = static_cast<double>(c_thld) / cn;
-      prod_faa = static_cast<double>(p_faa) / pn;
-      prod_thld = static_cast<double>(p_thld) / pn;
-    }
-    cons_faa_samples.push_back(cons_faa);
-    cons_thld_samples.push_back(cons_thld);
-    prod_faa_samples.push_back(prod_faa);
-    prod_thld_samples.push_back(prod_thld);
 
     // Per-node throughput: worker t's executed ops are attributed to the
     // node the pin policy placed it on (deterministic by construction).
@@ -521,10 +448,6 @@ PointResult measure_point(const BenchParams& p, unsigned threads) {
   result.ring_thld = summarize(thld_samples);
   result.registry = summarize(reg_samples);
   result.remote_steal = summarize(steal_samples);
-  result.cons_faa = summarize(cons_faa_samples);
-  result.cons_thld = summarize(cons_thld_samples);
-  result.prod_faa = summarize(prod_faa_samples);
-  result.prod_thld = summarize(prod_thld_samples);
   result.node_mops.reserve(node_buckets);
   for (unsigned k = 0; k < node_buckets; ++k) {
     result.node_mops.push_back(summarize(node_samples[k]));

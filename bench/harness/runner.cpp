@@ -151,28 +151,6 @@ void print_node_table(const std::vector<Series>& series,
   }
 }
 
-void print_roles_table(const std::vector<Series>& series,
-                       const std::vector<unsigned>& threads) {
-  std::printf("threads");
-  for (const auto& s : series) {
-    std::printf(",%s[cons faa|thld / prod faa|thld]", s.name.c_str());
-  }
-  std::printf("   (per role-executed op)\n");
-  for (unsigned t : threads) {
-    std::printf("%7u", t);
-    for (const auto& s : series) {
-      const PointResult* pt = find_point(s, t);
-      if (pt == nullptr) {
-        std::printf(",-");
-        continue;
-      }
-      std::printf(",%.3f|%.3f / %.3f|%.3f", pt->cons_faa.mean,
-                  pt->cons_thld.mean, pt->prod_faa.mean, pt->prod_thld.mean);
-    }
-    std::printf("\n");
-  }
-}
-
 void print_cv_note(const std::vector<Series>& series) {
   double worst = 0.0;
   for (const auto& s : series) {
@@ -226,16 +204,11 @@ bool JsonReport::write(const std::string& path) const {
                      "\"ring_thld_per_op_mean\": %.6f, "
                      "\"registry_per_op_mean\": %.6f, "
                      "\"remote_steal_per_op_mean\": %.6f, "
-                     "\"cons_faa_per_op_mean\": %.6f, "
-                     "\"cons_thld_per_op_mean\": %.6f, "
-                     "\"prod_faa_per_op_mean\": %.6f, "
-                     "\"prod_thld_per_op_mean\": %.6f, "
                      "\"node_mops_mean\": [",
                      pt.threads, pt.mops.mean, pt.mops.cv, pt.live_bytes.mean,
                      pt.peak_bytes.mean, pt.rss_bytes.mean, pt.allocs.mean,
                      pt.ring_faa.mean, pt.ring_thld.mean, pt.registry.mean,
-                     pt.remote_steal.mean, pt.cons_faa.mean, pt.cons_thld.mean,
-                     pt.prod_faa.mean, pt.prod_thld.mean);
+                     pt.remote_steal.mean);
         for (std::size_t k = 0; k < pt.node_mops.size(); ++k) {
           std::fprintf(f, "%s%.6f", k == 0 ? "" : ", ",
                        pt.node_mops[k].mean);

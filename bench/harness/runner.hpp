@@ -44,13 +44,6 @@ void print_registry_table(const std::vector<Series>& series,
 // bench/check_topology.py CI gate).
 void print_node_table(const std::vector<Series>& series,
                       const std::vector<unsigned>& threads);
-// Role-split ring counters for the skewed workloads (p8to1/p1to8,
-// DESIGN.md §13): consumer-role and producer-role F&As + threshold RMWs per
-// op executed by that role. The consumer column is the degree-specialization
-// claim — an MPSC consumer path must print 0.000|0.000 — and is gated by
-// bench/check_pipeline.py.
-void print_roles_table(const std::vector<Series>& series,
-                       const std::vector<unsigned>& threads);
 void print_cv_note(const std::vector<Series>& series);
 
 // Machine-readable run report: drivers add one panel per table they print

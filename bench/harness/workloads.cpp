@@ -21,10 +21,6 @@ const char* workload_name(Workload w) {
       return "memory";
     case Workload::kBurst:
       return "burst";
-    case Workload::kP8to1:
-      return "p8to1";
-    case Workload::kP1to8:
-      return "p1to8";
   }
   return "?";
 }
@@ -106,8 +102,6 @@ BenchParams BenchParams::parse(int argc, char** argv) {
       else if (v == "empty") p.workload = Workload::kEmptyDeq;
       else if (v == "memory") p.workload = Workload::kMemory;
       else if (v == "burst") p.workload = Workload::kBurst;
-      else if (v == "p8to1") p.workload = Workload::kP8to1;
-      else if (v == "p1to8") p.workload = Workload::kP1to8;
     } else if (flag_value(argv[i], "--batch", v)) {
       p.batch = static_cast<unsigned>(std::stoul(v));
     } else if (flag_value(argv[i], "--json", v)) {

@@ -12,14 +12,6 @@
 //   burst    — alternating bursts of `batch` enqueues then `batch` dequeues
 //              (producer/consumer phases): bursty occupancy plus
 //              backpressure, the shape sharded front-ends are built for.
-//   p8to1    — skewed roles, ~8 producers per consumer: the minority
-//              (threads/9, at least 1) of workers only dequeue, the rest
-//              only enqueue. The natural stressor for MPSC rings and the
-//              sharded pipeline mode (DESIGN.md §13): with <= 17 threads
-//              there is exactly one consumer, so the consumer-role counter
-//              split below gates the zero-F&A/zero-threshold claim.
-//   p1to8    — the dual, ~8 consumers per producer (the SPMC stressor):
-//              the minority only enqueues, the rest only dequeue.
 //
 // `batch > 1` routes pairs/p5050/empty/burst through the adapters' batch
 // path (enqueue_bulk/dequeue_bulk) when the adapter provides one; reported
@@ -37,27 +29,9 @@
 
 namespace wcq::bench {
 
-enum class Workload { kPairs, kP5050, kEmptyDeq, kMemory, kBurst, kP8to1,
-                      kP1to8 };
+enum class Workload { kPairs, kP5050, kEmptyDeq, kMemory, kBurst };
 
 const char* workload_name(Workload w);
-
-// Role split for the skewed-ratio workloads. Both assign the first
-// `skewed_minority(threads)` worker indices to the minority role, so every
-// point has at least one worker of each role and the 8:1 ratio is exact at
-// 9, 18, ... threads. Symmetric workloads have no roles (consumer == false
-// for all, by convention).
-inline bool workload_skewed(Workload w) {
-  return w == Workload::kP8to1 || w == Workload::kP1to8;
-}
-inline unsigned skewed_minority(unsigned threads) {
-  return threads > 9 ? threads / 9 : 1;
-}
-inline bool skewed_consumer(Workload w, unsigned thread_index,
-                            unsigned threads) {
-  const unsigned m = skewed_minority(threads);
-  return w == Workload::kP8to1 ? thread_index < m : thread_index >= m;
-}
 
 struct BenchParams {
   // Batch spans are staged through fixed worker-local buffers; parse() clamps
@@ -85,8 +59,7 @@ struct BenchParams {
   std::vector<std::string> only;
 
   // Parse --threads=1,2,4 --ops=N --runs=N
-  // --workload=pairs|p5050|empty|memory|burst|p8to1|p1to8 --batch=N
-  // --json=PATH
+  // --workload=pairs|p5050|empty|memory|burst --batch=N --json=PATH
   // --no-pin --pin-policy=rr|compact|scatter|node:<k> --full
   // --only=wCQ,SCQ  plus WCQ_BENCH_* env fallbacks.
   static BenchParams parse(int argc, char** argv);

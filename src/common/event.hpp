@@ -68,7 +68,6 @@ enum class Event : std::uint8_t {
                     //   virtual-park re-check under the analysis scheduler)
   kParkWake,        // eventcount notify: epoch bump / futex wake edge
   kChanClose,       // channel close: closed-flag publish before the wakes
-  kTailStore,       // SpmcRing's single-writer Tail reservation store
   kReadyPoll,       // blocking receive's spin-phase readiness-hint poll
   // -- counters only --------------------------------------------------------
   kSlowFaaGranted,  // slow_F&A's published increment succeeded
@@ -113,7 +112,6 @@ inline constexpr EventTraits kEventTable[] = {
     {Event::kParkCommit, nullptr, true},
     {Event::kParkWake, nullptr, true},
     {Event::kChanClose, nullptr, true},
-    {Event::kTailStore, nullptr, true},
     {Event::kReadyPoll, nullptr, true},
     {Event::kSlowFaaGranted, &opcount::Counters::faa, false},
     {Event::kRegistryLookup, &opcount::Counters::registry, false},

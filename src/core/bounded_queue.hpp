@@ -39,13 +39,6 @@
 // WCQ (default), lock-free with SCQ. Magazine operations are bounded scans
 // and every magazine↔ring interaction uses the existing wait-free paths, so
 // the composition's progress class is unchanged.
-//
-// Degree-specialized rings (DESIGN.md §13): `BoundedQueue<T, MpscRing>` /
-// `<T, SpmcRing>` restrict the *data* ring only. The free ring is chosen
-// separately (the FreeRing parameter, defaulted by detail::DefaultFreeRing)
-// because fq's degree profile never matches aq's — free indices flow back
-// from consumers, exit hooks and reset paths on arbitrary threads — so
-// specialized aqs pair with an MPMC SCQ fq by default.
 #pragma once
 
 #include <algorithm>
@@ -60,58 +53,14 @@
 #include <utility>
 
 #include "common/align.hpp"
-#include "core/mpsc_ring.hpp"
 #include "core/scq.hpp"
-#include "core/spmc_ring.hpp"
 #include "core/wcq.hpp"
 #include "runtime/thread_registry.hpp"
 #include "scale/index_magazine.hpp"
 
 namespace wcq {
 
-namespace detail {
-
-// The fq ring for a given aq ring (DESIGN.md §13). fq's degree profile is
-// NOT aq's: every dequeuer of the data queue, cross-thread magazine exit
-// flushes and owned-handle destruction enqueue free indices into fq from
-// arbitrary threads, and every enqueuer of the data queue dequeues from fq.
-// So when aq is degree-specialized the free ring falls back to the MPMC SCQ —
-// `BoundedQueue<T, MpscRing>` stays a drop-in instantiation while keeping
-// the index-recycling paths unrestricted. Symmetric rings keep the historic
-// fq == aq choice (wCQ's fq wait-freedom matters for the Fig 2 contract).
-template <typename Ring>
-struct DefaultFreeRing {
-  using type = Ring;
-};
-template <>
-struct DefaultFreeRing<MpscRing> {
-  using type = SCQ;
-};
-template <>
-struct DefaultFreeRing<SpmcRing> {
-  using type = SCQ;
-};
-
-// Degree-specialized rings pin their owner thread via a SessionGuard; the
-// exclusive-access paths below (destructor drain, reset) legitimately run
-// on a different thread than the bound owner, so they clear the binding
-// first. Symmetric rings have no such method — compile-time no-op.
-template <typename R, typename = void>
-struct HasReleaseSessions : std::false_type {};
-template <typename R>
-struct HasReleaseSessions<
-    R, std::void_t<decltype(std::declval<R&>().release_sessions())>>
-    : std::true_type {};
-
-template <typename R>
-void release_ring_sessions(R& ring) {
-  if constexpr (HasReleaseSessions<R>::value) ring.release_sessions();
-}
-
-}  // namespace detail
-
-template <typename T, typename Ring = WCQ,
-          typename FreeRing = typename detail::DefaultFreeRing<Ring>::type>
+template <typename T, typename Ring = WCQ>
 class BoundedQueue {
   static_assert(std::is_nothrow_move_constructible_v<T>,
                 "payloads move across threads; moves must not throw");
@@ -183,7 +132,7 @@ class BoundedQueue {
     BoundedQueue* q_ = nullptr;
     unsigned tid_ = 0;
     typename Ring::Handle aq_h_{};
-    typename FreeRing::Handle fq_h_{};
+    typename Ring::Handle fq_h_{};
     std::atomic<u64>* mag_ = nullptr;  // null when magazines are disabled
     bool owned_ = false;
   };
@@ -392,7 +341,7 @@ class BoundedQueue {
 
   // Ring access for diagnostics (e.g., threshold inspection in tests).
   const Ring& aq() const { return aq_; }
-  const FreeRing& fq() const { return fq_; }
+  const Ring& fq() const { return fq_; }
   // Free indices currently cached in magazines (exact at quiescence).
   std::size_t magazine_cached() const { return mags_.cached_total(); }
   std::size_t magazine_capacity() const { return mags_.capacity(); }
@@ -525,7 +474,7 @@ class BoundedQueue {
     const std::size_t got =
         mags_.drain_tid(tid, buf, IndexMagazines::kMaxSlots);
     if (got > 0) {
-      typename FreeRing::Handle fq_h = fq_.handle_for(ThreadRegistry::tid());
+      typename Ring::Handle fq_h = fq_.handle_for(ThreadRegistry::tid());
       fq_.enqueue_bulk(fq_h, buf, got);
     }
   }
@@ -554,14 +503,10 @@ class BoundedQueue {
 
   // Destroy any payloads still in flight. Single-threaded drain: successful
   // dequeues never burn threshold, so this loop empties the queue exactly.
-  // The caller has exclusive access (destructor or reset), so a degree-
-  // specialized aq may legally rebind to this thread for the drain.
   void destroy_stragglers() {
-    detail::release_ring_sessions(aq_);
     while (auto idx = aq_.dequeue()) {
       slot(*idx)->~T();
     }
-    detail::release_ring_sessions(aq_);
   }
 
   struct alignas(alignof(T)) Storage {
@@ -574,7 +519,7 @@ class BoundedQueue {
   }
 
   Ring aq_;
-  FreeRing fq_;
+  Ring fq_;
   AlignedArray<Storage> data_;
   IndexMagazines mags_;
   // Serializes magazine flushes (exit hook, handle destruction) against

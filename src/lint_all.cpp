@@ -23,11 +23,8 @@
 #include "common/topology.hpp"
 #include "core/bounded_queue.hpp"
 #include "core/entry.hpp"
-#include "core/mpsc_ring.hpp"
 #include "core/remap.hpp"
 #include "core/scq.hpp"
-#include "core/session_guard.hpp"
-#include "core/spmc_ring.hpp"
 #include "core/unbounded_queue.hpp"
 #include "core/wcq.hpp"
 #include "core/wcq_llsc.hpp"
@@ -46,8 +43,6 @@ namespace wcq {
 template class BoundedQueue<std::uint64_t, WCQ>;
 template class BoundedQueue<std::uint64_t, SCQ>;
 template class BoundedQueue<std::uint64_t, WCQLLSC>;
-template class BoundedQueue<std::uint64_t, MpscRing>;
-template class BoundedQueue<std::uint64_t, SpmcRing>;
 template class Channel<std::uint64_t, BoundedQueue<std::uint64_t, WCQ>>;
 template class Channel<std::uint64_t, ShardedQueue<std::uint64_t, WCQ>>;
 }  // namespace wcq

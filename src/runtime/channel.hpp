@@ -55,7 +55,6 @@
 #include <chrono>
 #include <cstdint>
 #include <optional>
-#include <type_traits>
 #include <utility>
 
 #include "common/backoff.hpp"
@@ -124,14 +123,6 @@ class Channel {
   Channel& operator=(const Channel&) = delete;
 
   Handle acquire() { return Handle(q_.acquire()); }
-
-  // Pipeline-mode consumer session (ShardedQueue only; SFINAE'd away for
-  // queues without acquire_consumer).
-  template <typename QQ = Q,
-            typename = decltype(std::declval<QQ&>().acquire_consumer(0u))>
-  Handle acquire_consumer(unsigned shard) {
-    return Handle(q_.acquire_consumer(shard));
-  }
 
   Queue& queue() { return q_; }
   std::uint64_t capacity() const { return q_.capacity(); }

@@ -42,22 +42,6 @@
 // trade: Jiffy-style sharded consumers re-merge by key or don't care).
 // Emptiness is likewise per-sweep: a concurrent enqueue racing the sweep may
 // be missed, exactly as a dequeue racing a single queue's enqueue may be.
-//
-// Pipeline mode (DESIGN.md §13): `Options::mode = Mode::kPipeline` declares
-// the sharded-ingest shape — every shard drained by exactly one owning
-// consumer — and is meant to be instantiated as `ShardedQueue<T, MpscRing>`
-// so each shard's data ring drops to the single-consumer fast path.
-// Consumers enter through acquire_consumer(shard), which pins the calling
-// thread to the shard's owning node (PR 7 placement) and returns a session
-// whose sweep is just {shard}: the owning consumer never steals, so the
-// steal sweep is producer-side only, exactly the restriction that keeps one
-// consumer per MPSC ring. Producers are unchanged (hash to home shards,
-// full hierarchical sweep). The mode is enforced at this layer — a dequeue
-// through anything but a consumer session traps — and again at the ring
-// layer by MpscRing's SessionGuard, so a second consumer on a shard is a
-// diagnosed abort, not silent corruption. The same options minus the mode
-// (and minus the ring substitution) give the full-MPMC baseline the
-// bench_pipeline A/B measures against.
 #pragma once
 
 #include <bit>
@@ -86,11 +70,6 @@ class ShardedQueue {
  public:
   using Shard = BoundedQueue<T, Ring>;
 
-  // Front-end discipline (see header comment). kMpmc is the historic
-  // behavior: any thread may enqueue or dequeue anywhere in the sweep.
-  // kPipeline restricts draining to per-shard owning consumers.
-  enum class Mode { kMpmc, kPipeline };
-
   // Per-thread session (DESIGN.md §10, §12): the caller's node and full
   // hierarchical sweep order resolved once at acquire(), plus one unowned
   // BoundedQueue session per shard — the sweep then touches neither the
@@ -105,8 +84,7 @@ class ShardedQueue {
     Handle(Handle&& o) noexcept
         : q_(o.q_), tid_(o.tid_), node_(o.node_),
           sweep_(std::move(o.sweep_)), home_(o.home_),
-          shards_(std::move(o.shards_)), owned_(o.owned_),
-          consumer_(o.consumer_) {
+          shards_(std::move(o.shards_)), owned_(o.owned_) {
       o.q_ = nullptr;
       o.owned_ = false;
     }
@@ -120,7 +98,6 @@ class ShardedQueue {
         sweep_ = std::move(o.sweep_);
         shards_ = std::move(o.shards_);
         owned_ = o.owned_;
-        consumer_ = o.consumer_;
         o.q_ = nullptr;
         o.owned_ = false;
       }
@@ -139,26 +116,12 @@ class ShardedQueue {
     // implicit path recomputes this from the registry tid and current node
     // once per call; the handle never does).
     unsigned home_shard() const { return home_; }
-    // True for sessions from acquire_consumer(): the sweep is pinned to the
-    // owned shard and pipeline-mode dequeues are permitted.
-    bool is_consumer() const { return consumer_; }
-
    private:
     friend class ShardedQueue;
     Handle(ShardedQueue* q, unsigned tid, bool owned)
         : q_(q), tid_(tid), node_(q->topo_->current_node()),
           sweep_(q->sweep_order(node_, tid)), home_(sweep_.front()),
           owned_(owned) {
-      shards_.reserve(q->shards_.size());
-      for (auto& s : q->shards_) shards_.push_back(s->handle_for(tid));
-    }
-
-    // Owning-consumer session (acquire_consumer): the sweep is exactly the
-    // owned shard — the consumer never steals, which is what keeps one
-    // consumer per MPSC data ring. Always owned.
-    Handle(ShardedQueue* q, unsigned tid, unsigned shard)
-        : q_(q), tid_(tid), node_(q->shard_node_[shard]),
-          sweep_({shard}), home_(shard), owned_(true), consumer_(true) {
       shards_.reserve(q->shards_.size());
       for (auto& s : q->shards_) shards_.push_back(s->handle_for(tid));
     }
@@ -182,7 +145,6 @@ class ShardedQueue {
     unsigned home_ = 0;
     std::vector<typename Shard::Handle> shards_;
     bool owned_ = false;
-    bool consumer_ = false;
   };
 
   struct Options {
@@ -198,15 +160,11 @@ class ShardedQueue {
     // (Topology::instance(), i.e. WCQ_TOPOLOGY or the live machine). Tests
     // inject simulated shapes here without touching the environment.
     const Topology* topology = nullptr;
-    // Front-end discipline; see Mode. Pipeline instantiations should pair
-    // this with Ring = MpscRing to actually collect the fast-path win.
-    Mode mode = Mode::kMpmc;
   };
 
   explicit ShardedQueue(Options opt)
       : topo_(opt.topology != nullptr ? opt.topology
-                                      : &Topology::instance()),
-        mode_(opt.mode) {
+                                      : &Topology::instance()) {
     const unsigned n = std::bit_ceil(opt.shards == 0 ? 1u : opt.shards);
     mask_ = n - 1;
     const unsigned m = topo_->node_count();
@@ -285,7 +243,6 @@ class ShardedQueue {
   unsigned shard_count() const {
     return static_cast<unsigned>(shards_.size());
   }
-  Mode mode() const { return mode_; }
   u64 capacity() const { return shard_count() * shards_[0]->capacity(); }
   Shard& shard(unsigned i) { return *shards_[i]; }
   const Shard& shard(unsigned i) const { return *shards_[i]; }
@@ -323,23 +280,6 @@ class ShardedQueue {
     return Handle(this, ThreadRegistry::tid(), /*owned=*/true);
   }
 
-  // Owning-consumer session for `shard` (pipeline mode's drain side,
-  // usable in either mode). Pins the calling thread to the shard's owning
-  // node — node placement via the PR 7 groups; under a simulated topology
-  // the pin only records the node, no affinity syscalls — and returns a
-  // session whose sweep is exactly {shard}. One consumer per shard is the
-  // caller's contract; with Ring = MpscRing the shard's SessionGuard
-  // enforces it (a second consumer traps).
-  Handle acquire_consumer(unsigned shard) {
-    assert(shard < shard_count());
-    pin_thread(shard,
-               Topology::PinSpec{Topology::PinPolicy::kNode,
-                                 shard_node_[shard]},
-               *topo_);
-    live_handles_.fetch_add(1, std::memory_order_acq_rel);
-    return Handle(this, ThreadRegistry::tid(), shard);
-  }
-
   // --- operations ----------------------------------------------------------
 
   // False only after every shard rejected the element during one sweep.
@@ -358,14 +298,8 @@ class ShardedQueue {
   }
 
   // Nullopt only after a full steal sweep found every shard empty.
-  std::optional<T> dequeue() {
-    require_consumer(/*consumer=*/false);
-    return dequeue(sweep_here());
-  }
-  std::optional<T> dequeue(Handle& h) {
-    require_consumer(h.consumer_);
-    return dequeue(sweep_for(h));
-  }
+  std::optional<T> dequeue() { return dequeue(sweep_here()); }
+  std::optional<T> dequeue(Handle& h) { return dequeue(sweep_for(h)); }
 
   // Read-only readiness hint (BoundedQueue::maybe_nonempty) over the shards
   // the session's dequeue sweep visits: true if any of them may hold an
@@ -397,11 +331,9 @@ class ShardedQueue {
   // the sweep. Returns how many were dequeued; fewer than `n` does not prove
   // emptiness (see the shard-level contract), dequeue() does.
   std::size_t dequeue_bulk(T* out, std::size_t n) {
-    require_consumer(/*consumer=*/false);
     return dequeue_bulk(sweep_here(), out, n);
   }
   std::size_t dequeue_bulk(Handle& h, T* out, std::size_t n) {
-    require_consumer(h.consumer_);
     return dequeue_bulk(sweep_for(h), out, n);
   }
 
@@ -494,26 +426,12 @@ class ShardedQueue {
     });
   }
 
-  // Pipeline-mode role check: draining is reserved to owning-consumer
-  // sessions, and violating that is the same severity as a second MPSC
-  // consumer (it IS one, a sweep deep) — diagnosed abort, not UB. In kMpmc
-  // mode this is a single predictable branch.
-  void require_consumer(bool consumer) const {
-    if (mode_ != Mode::kPipeline || consumer) return;
-    std::fprintf(stderr,
-                 "wcq: dequeue on a pipeline-mode ShardedQueue requires an "
-                 "acquire_consumer() session\n");
-    assert(false && "pipeline-mode dequeue without a consumer session");
-    __builtin_trap();
-  }
-
   const Topology* topo_ = nullptr;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<unsigned> shard_node_;           // shard -> owning node
   std::vector<std::vector<unsigned>> local_;   // node -> its shard group
   std::vector<std::vector<unsigned>> order_;   // node -> canonical sweep
   unsigned mask_ = 0;
-  Mode mode_ = Mode::kMpmc;
   std::atomic<int> live_handles_{0};
 };
 

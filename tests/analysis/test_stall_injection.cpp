@@ -8,12 +8,11 @@
 //     and no watchdog means nobody spun waiting for it);
 //   * close() wakes every parked waiter even with a peer stalled — the
 //     drain terminates, nothing is lost;
-//   * the "killed consumer" pipeline variant — a pipeline-mode consumer that
-//     stalls and then abandons its remaining work (the resume handler models
-//     the kill: it does nothing further). Producers spill past the dead
-//     consumer's shard via the hierarchical sweep and complete every send;
-//     the surviving consumer and a post-mortem drain account for every
-//     element.
+//   * a "killed" consumer on a sharded channel — a receiver that stalls and
+//     then abandons its remaining work (the resume handler models the kill:
+//     it does nothing further). The producer completes every send, and the
+//     surviving receiver's steal sweep drains every shard, so the two
+//     receivers account for every element exactly once.
 //
 // The PctScheduler's stall mode (Config::stall_victim/stall_after) freezes
 // the victim the first time it reaches its N-th own scheduling point; the
@@ -162,21 +161,20 @@ TEST(StallInjection, SuspendedSenderNeverBlocksOthers) {
   }
 }
 
-// Killed pipeline consumer: consumer 0 stalls and, on resume, abandons its
-// loop (models a consumer that died mid-shift). Producers spill past its
-// shard through the hierarchical sweep and complete every send; the
-// surviving consumer plus a post-mortem drain of the dead shard account for
-// every element exactly once.
-TEST(StallInjection, KilledPipelineConsumerDoesNotWedgeProducers) {
+// Killed consumer: receiver 1 stalls and, on resume, abandons its loop
+// (models a consumer that died mid-shift) while holding an ordinary MPMC
+// session. The producer completes every send; the survivor's steal sweep
+// visits every shard, so nothing is stranded in the dead receiver's home
+// shard, and the two receivers account for every element exactly once.
+TEST(StallInjection, KilledConsumerDoesNotWedgeProducers) {
   using SQ = ShardedQueue<std::uint64_t>;
   constexpr unsigned kCount = 24;
   for (std::uint64_t seed = 1; seed <= 16; ++seed) {
-    Channel<std::uint64_t, SQ> ch(SQ::Options{
-        .shards = 2, .shard_order = 2, .mode = SQ::Mode::kPipeline});
+    Channel<std::uint64_t, SQ> ch(SQ::Options{.shards = 2, .shard_order = 2});
     PctScheduler::Config cfg;
     cfg.seed = seed;
     cfg.workers = 3;
-    cfg.stall_victim = 1;  // consumer on shard 0
+    cfg.stall_victim = 1;
     cfg.stall_after = 1 + (seed * 13) % 50;
     std::uint64_t got_live = 0, got_victim = 0;
     std::uint64_t sum = 0;
@@ -194,7 +192,7 @@ TEST(StallInjection, KilledPipelineConsumerDoesNotWedgeProducers) {
       std::thread victim([&] {
         sched.attach(1);
         {
-          auto h = ch.acquire_consumer(0);
+          auto h = ch.acquire();
           std::uint64_t out = 0;
           for (;;) {
             if (sched.stall_resumed()) break;  // "killed": abandon the loop
@@ -211,7 +209,7 @@ TEST(StallInjection, KilledPipelineConsumerDoesNotWedgeProducers) {
       std::thread live([&] {
         sched.attach(2);
         {
-          auto h = ch.acquire_consumer(1);
+          auto h = ch.acquire();
           std::uint64_t out = 0;
           while (ch.recv(h, out) == ChanStatus::kOk) {
             ++got_live;
@@ -224,21 +222,14 @@ TEST(StallInjection, KilledPipelineConsumerDoesNotWedgeProducers) {
       victim.join();
       live.join();
       ASSERT_FALSE(sched.watchdog_fired())
-          << "producer wedged on the dead consumer's shard, seed " << seed;
+          << "a worker waited on the killed consumer, seed " << seed;
       ASSERT_TRUE(sched.stall_hit()) << "seed " << seed;
-    }
-    // Post-mortem: drain what the dead consumer left in its shard.
-    {
-      auto h = ch.acquire_consumer(0);
-      std::uint64_t out = 0;
-      while (ch.try_recv(h, out) == ChanStatus::kOk) {
-        ++got_victim;
-        sum += out;
-      }
     }
     EXPECT_EQ(got_live + got_victim, kCount) << "seed " << seed;
     EXPECT_EQ(sum, std::uint64_t{kCount} * (kCount - 1) / 2)
         << "seed " << seed;
+    EXPECT_FALSE(ch.queue().dequeue().has_value())
+        << "element stranded in a shard, seed " << seed;
     EXPECT_EQ(ch.stats().stranded, 0u) << "seed " << seed;
   }
 }

@@ -141,9 +141,7 @@ void run_mpmc_exactly_once(Queue& q, const MpmcConfig& cfg,
         }
       }
       // Terminal emptiness, probed from a consumer thread: once `consumed`
-      // hit `total` nothing can reappear, and single-consumer rings
-      // (MpscRing) bind the dequeue role to this thread — a probe from the
-      // orchestrator would be a second consumer session.
+      // hit `total` nothing can reappear.
       ASSERT_FALSE(q.dequeue().has_value()) << "queue not empty at the end";
     });
   }
@@ -227,8 +225,7 @@ void run_mpmc_bulk_exactly_once(Queue& q, const MpmcConfig& cfg,
           bo.pause();  // empty: wait for producers
         }
       }
-      // In-thread terminal probe, as in run_mpmc_exactly_once: a consumer
-      // role may be thread-bound (single-consumer rings).
+      // In-thread terminal probe, as in run_mpmc_exactly_once.
       ASSERT_FALSE(q.dequeue().has_value()) << "queue not empty at the end";
     });
   }
@@ -282,8 +279,7 @@ void run_mpmc_count_exact(Ring& q, unsigned producers, unsigned consumers,
           bo.pause();  // empty: wait for a producer
         }
       }
-      // In-thread terminal probe (see run_mpmc_exactly_once): the dequeue
-      // role may be thread-bound on single-consumer rings.
+      // In-thread terminal probe (see run_mpmc_exactly_once).
       EXPECT_FALSE(q.dequeue().has_value());
     });
   }

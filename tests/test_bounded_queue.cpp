@@ -6,8 +6,6 @@
 #include <memory>
 #include <string>
 
-#include "core/mpsc_ring.hpp"
-#include "core/spmc_ring.hpp"
 #include "core/wcq_llsc.hpp"
 #include "mpmc_harness.hpp"
 
@@ -46,8 +44,8 @@ TYPED_TEST(BoundedQueueTest, FullSemantics) {
 // The read-only readiness hint blocking receivers poll (Channel, DESIGN.md
 // §14): false on an empty data ring — including after an empty dequeue's
 // Head F&A and Tail catchup — true while an element is queued.
-template <typename Q>
-void check_readiness_hint(Q& q) {
+TYPED_TEST(BoundedQueueTest, ReadinessHintTracksContents) {
+  BoundedQueue<u64, TypeParam> q(4);
   auto h = q.acquire();
   EXPECT_FALSE(q.maybe_nonempty(h)) << "fresh queue";
   ASSERT_TRUE(q.enqueue(h, 1));
@@ -61,18 +59,6 @@ void check_readiness_hint(Q& q) {
   EXPECT_FALSE(q.maybe_nonempty(h)) << "after empty dequeues";
   ASSERT_TRUE(q.enqueue(h, 3));
   EXPECT_TRUE(q.maybe_nonempty(h)) << "enqueue after empty dequeues";
-}
-
-TYPED_TEST(BoundedQueueTest, ReadinessHintTracksContents) {
-  BoundedQueue<u64, TypeParam> q(4);
-  check_readiness_hint(q);
-}
-
-TEST(BoundedQueueHint, ReadinessHintOnDegreeSpecializedRings) {
-  BoundedQueue<u64, MpscRing> mpsc(4);
-  check_readiness_hint(mpsc);
-  BoundedQueue<u64, SpmcRing> spmc(4);
-  check_readiness_hint(spmc);
 }
 
 TYPED_TEST(BoundedQueueTest, MpmcExactlyOnce) {

@@ -247,160 +247,5 @@ TEST(ShardedQueueMpmc, PerShardFifoFourProducers) {
   EXPECT_FALSE(q.dequeue().has_value());
 }
 
-// ---- Mode::kPipeline (DESIGN.md §13): MPSC shards, owning consumers ----
-
-using PipelineQueue = ShardedQueue<u64, MpscRing>;
-
-PipelineQueue::Options pipeline_options(unsigned shards,
-                                        unsigned shard_order) {
-  PipelineQueue::Options o;
-  o.shards = shards;
-  o.shard_order = shard_order;
-  o.mode = PipelineQueue::Mode::kPipeline;
-  return o;
-}
-
-TEST(ShardedQueue, PipelineSingleConsumerDrainsAllShards) {
-  // One consumer session per shard, all held by this thread: everything a
-  // producer spread across the shards is retrievable through the owning
-  // sessions, exactly once.
-  PipelineQueue q(pipeline_options(4, 6));  // 4 x 64: room for all 200
-  std::vector<PipelineQueue::Handle> own;
-  for (unsigned s = 0; s < q.shard_count(); ++s) {
-    own.push_back(q.acquire_consumer(s));
-  }
-  for (u64 i = 0; i < 200; ++i) ASSERT_TRUE(q.enqueue(i));
-  std::vector<bool> seen(200, false);
-  u64 got = 0;
-  while (got < 200) {
-    bool any = false;
-    for (auto& h : own) {
-      while (auto v = q.dequeue(h)) {
-        ASSERT_LT(*v, 200u);
-        ASSERT_FALSE(seen[*v]) << "duplicate delivery";
-        seen[*v] = true;
-        ++got;
-        any = true;
-      }
-    }
-    ASSERT_TRUE(any) << "shards empty with items missing";
-  }
-  for (auto& h : own) EXPECT_FALSE(q.dequeue(h).has_value());
-}
-
-TEST(ShardedQueue, PipelineConsumerSweepIsPinnedToItsShard) {
-  // An owning-consumer session drains exactly its shard — no steal sweep —
-  // so a neighbour shard's item is invisible to it.
-  PipelineQueue q(pipeline_options(2, 5));
-  auto c0 = q.acquire_consumer(0);
-  auto c1 = q.acquire_consumer(1);
-  ASSERT_TRUE(c0.is_consumer());
-  q.shard(1).enqueue(77);
-  EXPECT_FALSE(q.dequeue(c0).has_value())
-      << "consumer 0 stole from shard 1";
-  EXPECT_EQ(q.dequeue(c1).value(), 77u);
-}
-
-TEST(ShardedQueue, PipelineConcurrentProducersExactlyOnce) {
-  // The bench adapter's shape: hashing producers (implicit sessions, spill
-  // sweep producer-side) against per-shard owning consumers on dedicated
-  // threads, exact delivery counts.
-  PipelineQueue q(pipeline_options(4, 6));
-  constexpr unsigned kProducers = 4;
-  const u64 per_producer = testing::scale_items(20000);
-  const u64 total = kProducers * per_producer;
-  std::atomic<u64> consumed{0};
-  std::vector<std::atomic<u64>> counts(kProducers);
-  std::vector<std::thread> ts;
-  for (unsigned s = 0; s < q.shard_count(); ++s) {
-    ts.emplace_back([&, s] {
-      auto h = q.acquire_consumer(s);
-      Backoff bo;
-      while (consumed.load(std::memory_order_relaxed) < total) {
-        if (auto v = q.dequeue(h)) {
-          counts[static_cast<unsigned>(*v >> 32)].fetch_add(
-              1, std::memory_order_relaxed);
-          consumed.fetch_add(1, std::memory_order_relaxed);
-          bo.reset();
-        } else {
-          bo.pause();
-        }
-      }
-      EXPECT_FALSE(q.dequeue(h).has_value());
-    });
-  }
-  for (unsigned p = 0; p < kProducers; ++p) {
-    ts.emplace_back([&, p] {
-      Backoff bo;
-      for (u64 i = 0; i < per_producer; ++i) {
-        bo.reset();
-        while (!q.enqueue(testing::tag(p, i))) bo.pause();
-      }
-    });
-  }
-  for (auto& t : ts) t.join();
-  for (unsigned p = 0; p < kProducers; ++p) {
-    EXPECT_EQ(counts[p].load(), per_producer) << "producer " << p;
-  }
-}
-
-TEST(ShardedQueue, PipelineModeStillAcceptsProducerHandles) {
-  // acquire() handles remain valid for the enqueue side in pipeline mode.
-  PipelineQueue q(pipeline_options(2, 5));
-  auto p = q.acquire();
-  auto c0 = q.acquire_consumer(0);
-  auto c1 = q.acquire_consumer(1);
-  ASSERT_FALSE(p.is_consumer());
-  for (u64 i = 0; i < 32; ++i) ASSERT_TRUE(q.enqueue(p, i));
-  u64 got = 0;
-  while (q.dequeue(c0).has_value() || q.dequeue(c1).has_value()) ++got;
-  EXPECT_EQ(got, 32u);
-}
-
-#if defined(__SANITIZE_THREAD__)
-#define WCQ_SKIP_UNDER_TSAN() \
-  GTEST_SKIP() << "death tests fork; skipped under TSan"
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define WCQ_SKIP_UNDER_TSAN() \
-  GTEST_SKIP() << "death tests fork; skipped under TSan"
-#else
-#define WCQ_SKIP_UNDER_TSAN() (void)0
-#endif
-#else
-#define WCQ_SKIP_UNDER_TSAN() (void)0
-#endif
-
-TEST(ShardedQueueDeathTest, PipelineDequeueWithoutConsumerSessionTraps) {
-  WCQ_SKIP_UNDER_TSAN();
-  EXPECT_DEATH(
-      {
-        PipelineQueue q(pipeline_options(2, 5));
-        q.enqueue(1);
-        (void)q.dequeue();  // implicit dequeue in pipeline mode: diagnosed
-      },
-      "acquire_consumer");
-}
-
-TEST(ShardedQueueDeathTest, PipelineSecondConsumerOnOneShardTraps) {
-  WCQ_SKIP_UNDER_TSAN();
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  EXPECT_DEATH(
-      {
-        PipelineQueue q(pipeline_options(2, 5));
-        auto c = q.acquire_consumer(0);
-        q.enqueue(1);
-        while (!q.dequeue(c).has_value()) {
-        }  // binds this thread to shard 0's ring
-        std::thread([&] {
-          auto c2 = q.acquire_consumer(0);  // second owner of shard 0
-          q.enqueue(2);
-          while (!q.dequeue(c2).has_value()) {
-          }
-        }).join();
-      },
-      "second consumer session");
-}
-
 }  // namespace
 }  // namespace wcq
