@@ -25,130 +25,46 @@ const PointResult* find_point(const Series& s, unsigned threads) {
   return nullptr;
 }
 
+// One row per thread count, one column per series: `value` of each point,
+// printed with `decimals` digits after the point.
+void print_table(const std::vector<Series>& series,
+                 const std::vector<unsigned>& threads, const char* unit,
+                 int decimals, double (*value)(const PointResult&)) {
+  std::printf("threads");
+  for (const auto& s : series) std::printf(",%s", s.name.c_str());
+  std::printf("   (%s)\n", unit);
+  for (unsigned t : threads) {
+    std::printf("%7u", t);
+    for (const auto& s : series) {
+      const PointResult* pt = find_point(s, t);
+      if (pt != nullptr) {
+        std::printf(",%.*f", decimals, value(*pt));
+      } else {
+        std::printf(",-");
+      }
+    }
+    std::printf("\n");
+  }
+}
+
 }  // namespace
 
 void print_throughput_table(const std::vector<Series>& series,
                             const std::vector<unsigned>& threads) {
-  std::printf("threads");
-  for (const auto& s : series) std::printf(",%s", s.name.c_str());
-  std::printf("   (Mops/sec)\n");
-  for (unsigned t : threads) {
-    std::printf("%7u", t);
-    for (const auto& s : series) {
-      const PointResult* pt = find_point(s, t);
-      if (pt != nullptr) {
-        std::printf(",%.2f", pt->mops.mean);
-      } else {
-        std::printf(",-");
-      }
-    }
-    std::printf("\n");
-  }
+  print_table(series, threads, "Mops/sec", 2,
+              [](const PointResult& pt) { return pt.mops.mean; });
 }
 
 void print_memory_table(const std::vector<Series>& series,
                         const std::vector<unsigned>& threads) {
-  std::printf("threads");
-  for (const auto& s : series) std::printf(",%s", s.name.c_str());
-  std::printf("   (peak MB allocated during run)\n");
-  for (unsigned t : threads) {
-    std::printf("%7u", t);
-    for (const auto& s : series) {
-      const PointResult* pt = find_point(s, t);
-      if (pt != nullptr) {
-        std::printf(",%.2f", pt->peak_bytes.mean / 1e6);
-      } else {
-        std::printf(",-");
-      }
-    }
-    std::printf("\n");
-  }
+  print_table(series, threads, "peak MB allocated during run", 2,
+              [](const PointResult& pt) { return pt.peak_bytes.mean / 1e6; });
 }
 
 void print_allocation_table(const std::vector<Series>& series,
                             const std::vector<unsigned>& threads) {
-  std::printf("threads");
-  for (const auto& s : series) std::printf(",%s", s.name.c_str());
-  std::printf("   (allocations per run, count)\n");
-  for (unsigned t : threads) {
-    std::printf("%7u", t);
-    for (const auto& s : series) {
-      const PointResult* pt = find_point(s, t);
-      if (pt != nullptr) {
-        std::printf(",%.0f", pt->allocs.mean);
-      } else {
-        std::printf(",-");
-      }
-    }
-    std::printf("\n");
-  }
-}
-
-void print_ringops_table(const std::vector<Series>& series,
-                         const std::vector<unsigned>& threads) {
-  std::printf("threads");
-  for (const auto& s : series) std::printf(",%s", s.name.c_str());
-  std::printf("   (shared Head/Tail F&As per op)\n");
-  for (unsigned t : threads) {
-    std::printf("%7u", t);
-    for (const auto& s : series) {
-      const PointResult* pt = find_point(s, t);
-      if (pt != nullptr) {
-        std::printf(",%.3f", pt->ring_faa.mean);
-      } else {
-        std::printf(",-");
-      }
-    }
-    std::printf("\n");
-  }
-}
-
-void print_registry_table(const std::vector<Series>& series,
-                          const std::vector<unsigned>& threads) {
-  std::printf("threads");
-  for (const auto& s : series) std::printf(",%s", s.name.c_str());
-  std::printf("   (registry/thread_local lookups per op)\n");
-  for (unsigned t : threads) {
-    std::printf("%7u", t);
-    for (const auto& s : series) {
-      const PointResult* pt = find_point(s, t);
-      if (pt != nullptr) {
-        std::printf(",%.3f", pt->registry.mean);
-      } else {
-        std::printf(",-");
-      }
-    }
-    std::printf("\n");
-  }
-}
-
-void print_node_table(const std::vector<Series>& series,
-                      const std::vector<unsigned>& threads) {
-  std::printf("threads");
-  for (const auto& s : series) {
-    std::printf(",%s[node*|steals]", s.name.c_str());
-  }
-  std::printf("   (per-node Mops | remote steals per op)\n");
-  for (unsigned t : threads) {
-    std::printf("%7u", t);
-    for (const auto& s : series) {
-      const PointResult* pt = find_point(s, t);
-      if (pt == nullptr) {
-        std::printf(",-");
-        continue;
-      }
-      std::printf(",");
-      if (pt->node_mops.empty()) {
-        std::printf("unpinned");
-      } else {
-        for (std::size_t k = 0; k < pt->node_mops.size(); ++k) {
-          std::printf("%s%.2f", k == 0 ? "" : "/", pt->node_mops[k].mean);
-        }
-      }
-      std::printf("|%.3f", pt->remote_steal.mean);
-    }
-    std::printf("\n");
-  }
+  print_table(series, threads, "allocations per run, count", 0,
+              [](const PointResult& pt) { return pt.allocs.mean; });
 }
 
 void print_cv_note(const std::vector<Series>& series) {
@@ -169,7 +85,6 @@ void JsonReport::add_panel(const std::string& caption, const BenchParams& p,
   panel.workload = workload_name(p.workload);
   panel.ops = p.ops;
   panel.runs = p.runs;
-  panel.batch = p.batch;
   panel.series = series;
   panels_.push_back(std::move(panel));
 }
@@ -186,10 +101,10 @@ bool JsonReport::write(const std::string& path) const {
     const Panel& p = panels_[pi];
     std::fprintf(f,
                  "    {\"caption\": \"%s\", \"workload\": \"%s\", "
-                 "\"ops\": %llu, \"runs\": %u, \"batch\": %u,\n"
+                 "\"ops\": %llu, \"runs\": %u,\n"
                  "     \"series\": [\n",
                  p.caption.c_str(), p.workload.c_str(),
-                 static_cast<unsigned long long>(p.ops), p.runs, p.batch);
+                 static_cast<unsigned long long>(p.ops), p.runs);
     for (std::size_t si = 0; si < p.series.size(); ++si) {
       const Series& s = p.series[si];
       std::fprintf(f, "      {\"name\": \"%s\", \"points\": [\n",
@@ -200,20 +115,10 @@ bool JsonReport::write(const std::string& path) const {
                      "        {\"threads\": %u, \"mops_mean\": %.6f, "
                      "\"mops_cv\": %.6f, \"live_bytes_mean\": %.1f, "
                      "\"peak_bytes_mean\": %.1f, \"rss_bytes_mean\": %.1f, "
-                     "\"allocs_mean\": %.1f, \"ring_faa_per_op_mean\": %.6f, "
-                     "\"ring_thld_per_op_mean\": %.6f, "
-                     "\"registry_per_op_mean\": %.6f, "
-                     "\"remote_steal_per_op_mean\": %.6f, "
-                     "\"node_mops_mean\": [",
+                     "\"allocs_mean\": %.1f}%s\n",
                      pt.threads, pt.mops.mean, pt.mops.cv, pt.live_bytes.mean,
                      pt.peak_bytes.mean, pt.rss_bytes.mean, pt.allocs.mean,
-                     pt.ring_faa.mean, pt.ring_thld.mean, pt.registry.mean,
-                     pt.remote_steal.mean);
-        for (std::size_t k = 0; k < pt.node_mops.size(); ++k) {
-          std::fprintf(f, "%s%.6f", k == 0 ? "" : ", ",
-                       pt.node_mops[k].mean);
-        }
-        std::fprintf(f, "]}%s\n", qi + 1 < s.points.size() ? "," : "");
+                     qi + 1 < s.points.size() ? "," : "");
       }
       std::fprintf(f, "      ]}%s\n",
                    si + 1 < p.series.size() ? "," : "");

@@ -27,23 +27,6 @@ void print_memory_table(const std::vector<Series>& series,
 // an allocate-per-segment queue's grows with operations.
 void print_allocation_table(const std::vector<Series>& series,
                             const std::vector<unsigned>& threads);
-// Shared Head/Tail F&As per executed logical operation: the magazine
-// amortization metric (DESIGN.md §9), wall-clock-independent so it stays
-// meaningful on the 1-core CI host.
-void print_ringops_table(const std::vector<Series>& series,
-                         const std::vector<unsigned>& threads);
-// ThreadRegistry tid()/high_water() lookups per executed operation: the
-// session-handle metric (DESIGN.md §10). Implicit APIs resolve the
-// thread_local tid once per op (~1); explicit handles only pay the
-// amortized help-check refresh (~1/HELP_DELAY).
-void print_registry_table(const std::vector<Series>& series,
-                          const std::vector<unsigned>& threads);
-// Topology placement metrics (DESIGN.md §12): per-node Mops under the pin
-// policy plus ShardedQueue ops that completed on a remote node's shard per
-// executed op (0.000 everywhere under node-confined placement — the
-// bench/check_topology.py CI gate).
-void print_node_table(const std::vector<Series>& series,
-                      const std::vector<unsigned>& threads);
 void print_cv_note(const std::vector<Series>& series);
 
 // Machine-readable run report: drivers add one panel per table they print
@@ -63,7 +46,6 @@ class JsonReport {
     std::string workload;
     std::uint64_t ops = 0;
     unsigned runs = 0;
-    unsigned batch = 1;
     std::vector<Series> series;
   };
   std::vector<Panel> panels_;

@@ -1,11 +1,15 @@
 #include "harness/workloads.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 
 #include "common/cpu.hpp"
 #include "common/env.hpp"
+#include "runtime/thread_registry.hpp"
 
 namespace wcq::bench {
 
@@ -19,8 +23,6 @@ const char* workload_name(Workload w) {
       return "empty";
     case Workload::kMemory:
       return "memory";
-    case Workload::kBurst:
-      return "burst";
   }
   return "?";
 }
@@ -36,17 +38,16 @@ std::vector<unsigned> default_thread_counts() {
 
 namespace {
 
-std::vector<unsigned> parse_list(const std::string& s) {
-  std::vector<unsigned> out;
-  std::size_t pos = 0;
-  while (pos < s.size()) {
-    const std::size_t comma = s.find(',', pos);
-    const std::string tok = s.substr(pos, comma - pos);
-    if (!tok.empty()) out.push_back(static_cast<unsigned>(std::stoul(tok)));
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  return out;
+[[noreturn]] void usage_exit(const char* prog, const char* what,
+                             const char* arg) {
+  std::fprintf(stderr, "%s: %s '%s'\n", prog, what, arg);
+  std::fprintf(stderr,
+               "usage: %s [--threads=1,2,4] [--ops=N] [--runs=N] "
+               "[--workload=pairs|p5050|empty|memory] [--only=NAME,...] "
+               "[--no-pin] [--pin-policy=rr|compact|scatter|node:<k>] "
+               "[--full] [--json=PATH]\n",
+               prog);
+  std::exit(2);
 }
 
 std::vector<std::string> parse_names(const std::string& s) {
@@ -58,6 +59,32 @@ std::vector<std::string> parse_names(const std::string& s) {
     if (!tok.empty()) out.push_back(tok);
     if (comma == std::string::npos) break;
     pos = comma + 1;
+  }
+  return out;
+}
+
+// The whole token must be a decimal number: std::stoul would read "12abc"
+// as 12, wrap "-1" to 2^64-1 and abort the run on "abc".
+std::uint64_t parse_number(const char* prog, const std::string& tok) {
+  std::uint64_t out = 0;
+  const char* end = tok.data() + tok.size();
+  const auto [ptr, ec] = std::from_chars(tok.data(), end, out);
+  if (tok.empty() || ec != std::errc{} || ptr != end) {
+    usage_exit(prog, "not a number", tok.c_str());
+  }
+  return out;
+}
+
+// Worker counts: at least one (measure_point divides by it), and below the
+// registry's tid space, one tid of which the driver's own thread may hold.
+std::vector<unsigned> parse_threads(const char* prog, const std::string& s) {
+  std::vector<unsigned> out;
+  for (const std::string& tok : parse_names(s)) {
+    const std::uint64_t t = parse_number(prog, tok);
+    if (t == 0 || t >= ThreadRegistry::kMaxThreads) {
+      usage_exit(prog, "thread count out of range", tok.c_str());
+    }
+    out.push_back(static_cast<unsigned>(t));
   }
   return out;
 }
@@ -80,30 +107,29 @@ BenchParams BenchParams::parse(int argc, char** argv) {
   p.runs = static_cast<unsigned>(env_u64("WCQ_BENCH_RUNS", p.runs));
   p.pin = env_flag("WCQ_BENCH_PIN", p.pin);
   p.pin_policy = env_str("WCQ_BENCH_PIN_POLICY", p.pin_policy);
-  p.batch = static_cast<unsigned>(env_u64("WCQ_BENCH_BATCH", p.batch));
   if (env_flag("WCQ_BENCH_FULL", false)) {
     p.ops = 10'000'000;
     p.runs = 10;
   }
   const std::string env_threads = env_str("WCQ_BENCH_THREADS", "");
-  if (!env_threads.empty()) p.thread_counts = parse_list(env_threads);
+  if (!env_threads.empty()) {
+    p.thread_counts = parse_threads(argv[0], env_threads);
+  }
 
   for (int i = 1; i < argc; ++i) {
     std::string v;
     if (flag_value(argv[i], "--threads", v)) {
-      p.thread_counts = parse_list(v);
+      p.thread_counts = parse_threads(argv[0], v);
     } else if (flag_value(argv[i], "--ops", v)) {
-      p.ops = std::stoull(v);
+      p.ops = parse_number(argv[0], v);
     } else if (flag_value(argv[i], "--runs", v)) {
-      p.runs = static_cast<unsigned>(std::stoul(v));
+      p.runs = static_cast<unsigned>(parse_number(argv[0], v));
     } else if (flag_value(argv[i], "--workload", v)) {
       if (v == "pairs") p.workload = Workload::kPairs;
       else if (v == "p5050") p.workload = Workload::kP5050;
       else if (v == "empty") p.workload = Workload::kEmptyDeq;
       else if (v == "memory") p.workload = Workload::kMemory;
-      else if (v == "burst") p.workload = Workload::kBurst;
-    } else if (flag_value(argv[i], "--batch", v)) {
-      p.batch = static_cast<unsigned>(std::stoul(v));
+      else usage_exit(argv[0], "unknown workload", v.c_str());
     } else if (flag_value(argv[i], "--json", v)) {
       p.json_path = v;
     } else if (flag_value(argv[i], "--pin-policy", v)) {
@@ -115,16 +141,14 @@ BenchParams BenchParams::parse(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--full") == 0) {
       p.ops = 10'000'000;
       p.runs = 10;
+    } else {
+      usage_exit(argv[0], "unknown flag", argv[i]);
     }
   }
   if (p.thread_counts.empty()) p.thread_counts = default_thread_counts();
   if (p.runs == 0) p.runs = 1;
-  if (p.batch == 0) p.batch = 1;
-  if (p.batch > kMaxBatch) p.batch = kMaxBatch;
   if (!Topology::parse_pin_spec(p.pin_policy)) {
-    std::fprintf(stderr, "wcq-bench: unknown pin policy '%s', using rr\n",
-                 p.pin_policy.c_str());
-    p.pin_policy = "rr";
+    usage_exit(argv[0], "unknown pin policy", p.pin_policy.c_str());
   }
   return p;
 }

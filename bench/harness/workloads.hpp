@@ -1,6 +1,6 @@
 // Benchmark workloads and parameters reproducing the paper's §6 methodology.
 //
-// Workloads (one per figure panel, plus the scaling additions):
+// Workloads (one per figure panel):
 //   pairs    — Enqueue immediately followed by Dequeue, in a tight loop
 //              (Fig 11b / 12b "Pairwise Enqueue-Dequeue").
 //   p5050    — every operation is Enqueue or Dequeue with probability 1/2
@@ -9,13 +9,6 @@
 //              (Fig 11a / 12a "Empty Dequeue throughput").
 //   memory   — p5050 with tiny random delays between operations; measures
 //              allocator growth rather than only throughput (Fig 10).
-//   burst    — alternating bursts of `batch` enqueues then `batch` dequeues
-//              (producer/consumer phases): bursty occupancy plus
-//              backpressure, the shape sharded front-ends are built for.
-//
-// `batch > 1` routes pairs/p5050/empty/burst through the adapters' batch
-// path (enqueue_bulk/dequeue_bulk) when the adapter provides one; reported
-// ops always count attempted operations, batched or not.
 //
 // Methodology knobs follow the paper: each point is measured `runs` times
 // for `ops` operations; the mean and coefficient of variation are reported.
@@ -29,39 +22,35 @@
 
 namespace wcq::bench {
 
-enum class Workload { kPairs, kP5050, kEmptyDeq, kMemory, kBurst };
+enum class Workload { kPairs, kP5050, kEmptyDeq, kMemory };
 
 const char* workload_name(Workload w);
 
 struct BenchParams {
-  // Batch spans are staged through fixed worker-local buffers; parse() clamps
-  // --batch to this.
-  static constexpr unsigned kMaxBatch = 256;
-
   std::vector<unsigned> thread_counts;
   std::uint64_t ops = 200000;  // total operations per measurement run
   unsigned runs = 3;
   bool pin = true;
   // Placement policy when pinning: "rr" (round-robin over all CPUs, the
   // legacy default), "compact" (fill a node, one hyperthread per core
-  // first), "scatter" (round-robin across nodes), "node:<k>" (confine to
-  // node k — the shape behind the remote_steal==0 gate). Resolved against
+  // first — the paper's Fig 11 placement), "scatter" (round-robin across
+  // nodes), "node:<k>" (confine to node k). Resolved against
   // Topology::instance(), so WCQ_TOPOLOGY simulated shapes apply.
   std::string pin_policy = "rr";
   Workload workload = Workload::kPairs;
   // memory workload: delay up to this many spin iterations between ops
   unsigned max_delay_spins = 64;
-  // span per bulk call (1 = single-op path); also the burst length
-  unsigned batch = 1;
   // when non-empty, drivers append a machine-readable report here
   std::string json_path;
   // queue-name filter; empty = all queues in the binary
   std::vector<std::string> only;
 
   // Parse --threads=1,2,4 --ops=N --runs=N
-  // --workload=pairs|p5050|empty|memory|burst --batch=N --json=PATH
+  // --workload=pairs|p5050|empty|memory --json=PATH
   // --no-pin --pin-policy=rr|compact|scatter|node:<k> --full
-  // --only=wCQ,SCQ  plus WCQ_BENCH_* env fallbacks.
+  // --only=wCQ,SCQ  plus WCQ_BENCH_* env fallbacks. An unknown flag,
+  // workload or pin policy, or a malformed number, prints the usage line
+  // and exits 2.
   static BenchParams parse(int argc, char** argv);
 
   bool selected(const std::string& queue_name) const;

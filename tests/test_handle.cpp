@@ -11,6 +11,8 @@
 #include <vector>
 
 #include "common/backoff.hpp"
+#include "common/op_counters.hpp"
+#include "common/rng.hpp"
 #include "core/bounded_queue.hpp"
 #include "core/scq.hpp"
 #include "core/unbounded_queue.hpp"
@@ -106,6 +108,49 @@ TEST(HandleBasic, DestructionFlushesMagazine) {
   u64 n = 0;
   while (q.enqueue(n)) ++n;
   EXPECT_EQ(n, q.capacity());
+}
+
+// ThreadRegistry lookups per call of a seeded 50/50 run on an order-12
+// BoundedQueue<u64, WCQ> (16-slot magazines), through acquired handles or
+// the implicit overloads. Handles are acquired before the counter window
+// opens, as a pool worker holds one session for its lifetime.
+double p5050_registry_per_op(bool handles, unsigned threads) {
+  constexpr u64 kOps = 40000;
+  BoundedQueue<u64, WCQ> q(
+      BoundedQueue<u64, WCQ>::Options{12, {.enabled = true, .capacity = 16}});
+  std::atomic<u64> lookups{0};
+  std::vector<std::thread> ts;
+  for (unsigned t = 0; t < threads; ++t) {
+    ts.emplace_back([&, t] {
+      auto h = q.acquire();
+      Xoshiro256 rng{0x5050ULL + t};
+      const u64 before = opcount::snapshot().registry;
+      for (u64 i = 0; i < kOps / threads; ++i) {
+        if (rng.coin()) {
+          (void)(handles ? q.enqueue(h, i) : q.enqueue(i));
+        } else {
+          (void)(handles ? q.dequeue(h) : q.dequeue());
+        }
+      }
+      lookups.fetch_add(opcount::snapshot().registry - before);
+    });
+  }
+  for (auto& th : ts) th.join();
+  return static_cast<double>(lookups.load()) / static_cast<double>(kOps);
+}
+
+// The handle path's only registry read is the help check's periodic
+// high_water() (~1/HELP_DELAY per call); one tid() lookup per call would
+// put it above 1. The implicit path, which resolves the tid on every call,
+// shows the counter is live.
+TEST(HandleBasic, HandlePathAtMostOneRegistryLookupPerOp) {
+  for (const unsigned threads : {1u, 2u}) {
+    ASSERT_GE(p5050_registry_per_op(false, threads), 1.0)
+        << "opcount registry counter not wired";
+    const double handle = p5050_registry_per_op(true, threads);
+    EXPECT_LE(handle, 1.0)
+        << threads << " thread(s): " << handle << " lookups/op";
+  }
 }
 
 TEST(HandleBasic, WcqRingHandleTidMatches) {

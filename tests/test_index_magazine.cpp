@@ -17,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/op_counters.hpp"
 #include "common/rng.hpp"
 #include "core/bounded_queue.hpp"
 #include "core/unbounded_queue.hpp"
@@ -247,6 +248,49 @@ TEST(BoundedMagazine, DestructionExactlyOnceWithCachedIndices) {
   }
   EXPECT_EQ(g_ledger_ctors, g_ledger_dtors)
       << "each constructed payload must be destroyed exactly once";
+}
+
+// --- shared-ring F&A amortization (DESIGN.md §9) ----------------------------
+
+// Shared Head/Tail F&As per call of a seeded 50/50 enqueue/dequeue run on an
+// order-12 BoundedQueue<u64, WCQ> with 16-slot magazines on or off: `threads`
+// workers split kOps calls and sum their opcount::faa deltas. A counter, not
+// a clock, so the figure is the same on a 1-core host.
+double p5050_faa_per_op(bool magazines, unsigned threads) {
+  constexpr u64 kOps = 40000;
+  BoundedQueue<u64, WCQ> q(BoundedQueue<u64, WCQ>::Options{
+      12, {.enabled = magazines, .capacity = 16}});
+  std::atomic<u64> faa{0};
+  std::vector<std::thread> ts;
+  for (unsigned t = 0; t < threads; ++t) {
+    ts.emplace_back([&, t] {
+      Xoshiro256 rng{0x5050ULL + t};
+      const u64 before = opcount::snapshot().faa;
+      for (u64 i = 0; i < kOps / threads; ++i) {
+        if (rng.coin()) {
+          (void)q.enqueue(i);
+        } else {
+          (void)q.dequeue();
+        }
+      }
+      faa.fetch_add(opcount::snapshot().faa - before);
+    });
+  }
+  for (auto& th : ts) th.join();
+  return static_cast<double>(faa.load()) / static_cast<double>(kOps);
+}
+
+// Without magazines every call pays an fq and an aq F&A (~2/op); with them
+// the fq half amortizes into one bulk refill/spill per half-magazine span
+// (~1/op). The acceptance bar is a >= 40% cut at 1 and 2 threads.
+TEST(BoundedMagazine, P5050SharedRingFaasDropAtLeast40Percent) {
+  for (const unsigned threads : {1u, 2u}) {
+    const double off = p5050_faa_per_op(false, threads);
+    const double on = p5050_faa_per_op(true, threads);
+    ASSERT_GT(off, 1.0) << "opcount F&A counter not wired";
+    EXPECT_LE(on, 0.60 * off)
+        << threads << " thread(s): " << off << " -> " << on << " F&As/op";
+  }
 }
 
 // Thread-churn exactness (the ISSUE 4 acceptance test): waves of short-lived

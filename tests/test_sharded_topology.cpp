@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "common/op_counters.hpp"
+#include "common/rng.hpp"
 #include "common/topology.hpp"
 #include "mpmc_harness.hpp"
 #include "runtime/thread_registry.hpp"
@@ -300,6 +301,42 @@ TEST(ShardedTopologyMpmc, HandleSessionsAcrossTwoNodes) {
   cfg.producers = kProducers;
   cfg.consumers = kConsumers;
   testing::check_consumer_logs(logs, cfg, per_producer, /*check_fifo=*/false);
+}
+
+// Placement gate (DESIGN.md §12): 4 workers staged on node 0 of the
+// simulated 0-1;2-3 topology run a seeded 50/50 mix. Each homes on a node-0
+// shard and node 1's shards are never populated, so not one call may
+// complete on a remote shard. The shards hold every enqueue of the run, so
+// a home shard never fills and no spill is legitimate either.
+TEST(ShardedTopologyMpmc, NodeConfinedP5050CompletesNothingRemotely) {
+  constexpr unsigned kThreads = 4;
+  constexpr u64 kOpsPerThread = 4000;
+  const Topology topo = two_node();
+  auto q = make_queue(topo, 4, 14);
+  ASSERT_GE(q.shard(0).capacity(), kThreads * kOpsPerThread);
+  std::atomic<u64> remote{0}, full{0};
+  std::atomic<unsigned> homed_off_node{0};
+  std::vector<std::thread> ts;
+  for (unsigned t = 0; t < kThreads; ++t) {
+    ts.emplace_back([&, t] {
+      ScopedThreadNode on_node0(0);
+      if (q.shard_node(q.home_shard()) != 0) homed_off_node.fetch_add(1);
+      Xoshiro256 rng{0x70b0ULL + t};
+      const u64 before = opcount::snapshot().remote_steal;
+      for (u64 i = 0; i < kOpsPerThread; ++i) {
+        if (!rng.coin()) {
+          (void)q.dequeue();
+        } else if (!q.enqueue(i)) {
+          full.fetch_add(1);
+        }
+      }
+      remote.fetch_add(opcount::snapshot().remote_steal - before);
+    });
+  }
+  for (auto& th : ts) th.join();
+  EXPECT_EQ(homed_off_node.load(), 0u);
+  EXPECT_EQ(full.load(), 0u);
+  EXPECT_EQ(remote.load(), 0u);
 }
 
 TEST(ShardedTopologyMpmc, PerShardFifoAcrossTwoNodes) {
