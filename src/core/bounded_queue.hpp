@@ -27,13 +27,13 @@
 // tid, the wCQ thread-record pointer, the magazine block — lives in one
 // `Handle`. `acquire()` returns an owned handle (flushes its magazine back
 // to fq on destruction and pins the queue: destroying the queue first is a
-// diagnosed abort); `handle_for(tid)` builds an unowned per-op view by pure
-// arithmetic for composed layers that already know their tid (UnboundedQueue
-// segments, the implicit wrappers). The implicit API is unchanged and costs
-// exactly one registry lookup per operation — it resolves the thread_local
-// tid once and derives the session from it, which is equivalent to (and
-// safer than) caching handles in thread_local storage (see DESIGN.md §10 for
-// the equivalence argument).
+// diagnosed abort); `handle_for(tid)` builds an unowned per-op view by
+// chunk lookups and arithmetic for composed layers that already know their
+// tid (UnboundedQueue segments, the implicit wrappers). The implicit API is
+// unchanged and costs exactly one registry lookup per operation — it
+// resolves the thread_local tid once and derives the session from it, which
+// is equivalent to (and safer than) caching handles in thread_local storage
+// (see DESIGN.md §10 for the equivalence argument).
 //
 // The progress property is inherited from the Ring parameter: wait-free with
 // WCQ (default), lock-free with SCQ. Magazine operations are bounded scans
@@ -141,8 +141,7 @@ class BoundedQueue {
       : aq_(opt.order),
         fq_(opt.order),
         data_(aq_.capacity(), kCacheLine),
-        mags_(effective_magazine_capacity(opt.magazine, aq_.capacity()),
-              ThreadRegistry::kMaxThreads) {
+        mags_(effective_magazine_capacity(opt.magazine, aq_.capacity())) {
     fq_.prefill();
     if (mags_.enabled()) {
       // A dying thread flushes its cached free indices back to fq; without
@@ -219,9 +218,10 @@ class BoundedQueue {
     return Handle(this, ThreadRegistry::tid(), /*owned=*/true);
   }
 
-  // Unowned per-op session view for a known tid: pure arithmetic, no
-  // registry access, no flush-on-destroy. Composed layers (UnboundedQueue
-  // segments, ShardedQueue sweeps) and the implicit wrappers use this.
+  // Unowned per-op session view for a known tid: three chunk-pointer loads
+  // and arithmetic, no registry access, no flush-on-destroy. Composed layers
+  // (UnboundedQueue segments, ShardedQueue sweeps) and the implicit wrappers
+  // use this.
   Handle handle_for(unsigned tid) {
     return Handle(this, tid, /*owned=*/false);
   }

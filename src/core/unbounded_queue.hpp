@@ -55,14 +55,14 @@ class UnboundedQueue {
   // hazard-slot row for it, resolved once. Segment-level ring/magazine
   // state cannot be cached here — segments come and go — so the handle
   // carries the tid and each segment rebuilds its BoundedQueue view from it
-  // by pure arithmetic (zero registry lookups). Owned handles participate
-  // in the same lifetime check as BoundedQueue's: destroying the queue with
-  // live owned handles aborts with a diagnostic. Unlike BoundedQueue's
-  // handle, release does NOT flush segment magazines (that would need a
-  // hazard-protected walk of a list the session no longer operates on);
-  // segment magazines flush at thread exit via the registry hook, and the
-  // full-edge reclaim sweep keeps cached indices from wedging a segment's
-  // finalize in the meantime (DESIGN.md §9).
+  // by chunk lookups and arithmetic (zero registry lookups). Owned handles
+  // participate in the same lifetime check as BoundedQueue's: destroying the
+  // queue with live owned handles aborts with a diagnostic. Unlike
+  // BoundedQueue's handle, release does NOT flush segment magazines (that
+  // would need a hazard-protected walk of a list the session no longer
+  // operates on); segment magazines flush at thread exit via the registry
+  // hook, and the full-edge reclaim sweep keeps cached indices from wedging
+  // a segment's finalize in the meantime (DESIGN.md §9).
   class Handle {
    public:
     Handle() = default;

@@ -49,6 +49,7 @@
 #include "common/backoff.hpp"
 #include "common/dwcas.hpp"
 #include "common/event.hpp"
+#include "common/tid_chunks.hpp"
 #include "core/entry.hpp"
 #include "core/remap.hpp"
 #include "runtime/thread_registry.hpp"
@@ -83,7 +84,6 @@ class BasicWCQ {
  public:
   struct Options {
     unsigned order = 15;        // capacity 2^order; ring allocates 2^(order+1)
-    unsigned max_threads = 128;  // size of the per-queue record array
     int enq_patience = 16;      // paper §6: 16 for Enqueue
     int deq_patience = 64;      // paper §6: 64 for Dequeue
     unsigned help_delay = 16;   // Fig 6 HELP_DELAY
@@ -93,12 +93,13 @@ class BasicWCQ {
   // Per-thread session handle (DESIGN.md §10): the dense registry tid plus
   // this queue's thread record for it, resolved once instead of on every
   // operation. Trivially copyable — it is two words of derived state, so a
-  // composed layer (BoundedQueue) can rebuild it from a tid with pure
-  // arithmetic. With the tid in hand the hot path touches no registry or
-  // thread_local state at all; the only remaining registry read is the
-  // help scan's high_water snapshot, taken once per HELP_DELAY operations
-  // when the periodic check fires (see help_threads). A handle is valid
-  // only while the queue is alive and only on the thread owning the tid.
+  // composed layer (BoundedQueue) can rebuild it from a tid with one chunk
+  // load and arithmetic. With the tid in hand the hot path touches no
+  // registry or thread_local state at all; the only remaining registry read
+  // is the help scan's high_water snapshot, taken once per HELP_DELAY
+  // operations when the periodic check fires (see help_threads). A handle
+  // is valid only while the queue is alive and only on the thread owning
+  // the tid.
   class Handle {
    public:
     Handle() = default;
@@ -116,11 +117,10 @@ class BasicWCQ {
         codec_(opt.order),
         remap_(codec_.ring_size(), sizeof(AtomicPair128), opt.cache_remap),
         entries_(codec_.ring_size(), kCacheLine),
-        records_(opt.max_threads, kDestructiveRange) {
+        records_(1, kDestructiveRange) {
     assert(opt.enq_patience >= 1 && opt.deq_patience >= 1);
     assert(opt.help_delay >= 1);
-    assert(opt.max_threads >= 1 &&
-           opt.max_threads <= ThreadRegistry::kMaxThreads);
+    records_.install_below(ThreadRegistry::high_water());
     for (u64 i = 0; i < codec_.ring_size(); ++i) {
       entries_[i].lo.store(codec_.initial(), std::memory_order_relaxed);
       entries_[i].hi.store(0, std::memory_order_relaxed);  // Note: "never"
@@ -144,18 +144,14 @@ class BasicWCQ {
   // Acquire a session for the calling thread (exactly one registry lookup).
   Handle handle() { return handle_for(ThreadRegistry::tid()); }
 
-  // Build the session for a known dense tid: pure pointer arithmetic, no
-  // registry or thread_local access. Composed layers (BoundedQueue,
-  // UnboundedQueue segments) carry the tid in their own handles and rebuild
-  // ring sessions through this. Traps on a tid beyond max_threads — the
-  // same documented hard limit the implicit path enforces.
-  Handle handle_for(unsigned tid) {
-    if (tid >= opt_.max_threads) {
-      assert(false && "thread id exceeds WCQ max_threads");
-      __builtin_trap();
-    }
-    return Handle(tid, &records_[tid]);
-  }
+  // Build the session for a known dense tid: one chunk load and pointer
+  // arithmetic, no registry or thread_local access. Composed layers
+  // (BoundedQueue, UnboundedQueue segments) carry the tid in their own
+  // handles and rebuild ring sessions through this. The first session of a
+  // tid whose record chunk is not installed yet installs it
+  // (common/tid_chunks.hpp). Traps on a tid at or beyond
+  // ThreadRegistry::kMaxThreads, the registry's own limit.
+  Handle handle_for(unsigned tid) { return Handle(tid, records_.get(tid)); }
 
   // Inserts `index` (< capacity()). The caller guarantees at most
   // capacity() live indices (Fig 2 indirection provides that). Wait-free.
@@ -323,10 +319,9 @@ class BasicWCQ {
   // next user through the pool's release/acquire hand-off. Under that
   // precondition the per-thread records can be rewound too — rolling seq1
   // back to 1 is safe precisely because no helper holds a generation to
-  // confuse (the reuse-ABA argument, DESIGN.md §8). Only records below the
-  // registry high water are rewound: every record write is made by, or on
-  // behalf of, a tid below it, and the high water only grows, so the rows at
-  // or above it are still in their constructed state (DESIGN.md §8).
+  // confuse (the reuse-ABA argument, DESIGN.md §8). Only installed record
+  // chunks are rewound, and they stay installed: every record ever written
+  // lies in one, so the cost is O(registered threads) (DESIGN.md §8).
   void reset() {
     for (u64 i = 0; i < codec_.ring_size(); ++i) {
       entries_[i].lo.store(codec_.initial(), std::memory_order_relaxed);
@@ -337,8 +332,8 @@ class BasicWCQ {
     head_.lo.store(codec_.ring_size(), std::memory_order_relaxed);
     head_.hi.store(0, std::memory_order_relaxed);
     threshold_.value.store(-1, std::memory_order_relaxed);
-    for (unsigned i = 0; i < n_records(); ++i) {
-      ThreadRec& r = records_[i];
+    records_.for_each([](ThreadRec* rp) {
+      ThreadRec& r = *rp;
       r.next_check = 1;
       r.next_tid = 0;
       r.phase2.seq1.store(1, std::memory_order_relaxed);
@@ -354,7 +349,7 @@ class BasicWCQ {
       r.init_head.store(0, std::memory_order_relaxed);
       r.index.store(0, std::memory_order_relaxed);
       r.seq2.store(0, std::memory_order_relaxed);
-    }
+    });
   }
 
   // Fill a freshly constructed or reset ring with 0..capacity()-1, leaving
@@ -381,12 +376,13 @@ class BasicWCQ {
   }
   u64 head() const { return head_.lo.load(std::memory_order_acquire); }
   u64 tail() const { return tail_.lo.load(std::memory_order_acquire); }
-  // True if any registered thread currently advertises a pending request.
+  // True if any thread currently advertises a pending request.
   bool any_pending() const {
-    for (unsigned i = 0; i < n_records(); ++i) {
-      if (records_[i].pending.load(std::memory_order_acquire)) return true;
-    }
-    return false;
+    bool any = false;
+    records_.for_each([&any](ThreadRec* r) {
+      any = any || r->pending.load(std::memory_order_acquire);
+    });
+    return any;
   }
 
  private:
@@ -417,6 +413,8 @@ class BasicWCQ {
     std::atomic<u64> index{0};
     std::atomic<u64> seq2{0};
   };
+  // A record chunk is 8 destructive ranges (1 KiB); DESIGN.md §8 counts it.
+  static_assert(sizeof(ThreadRec) == kDestructiveRange);
 
   // Flag bits stolen from local_tail / local_head (counters stay < 2^62).
   static constexpr u64 kFin = u64{1} << 63;  // request finished: stop helping
@@ -441,10 +439,9 @@ class BasicWCQ {
     return static_cast<i64>(codec_.half() * 3 - 1);
   }
 
-  unsigned n_records() const {
-    const unsigned hw = ThreadRegistry::high_water();
-    return hw < opt_.max_threads ? hw : opt_.max_threads;
-  }
+  // Scan bound of the help and finalize scans: records of tids at or above
+  // the high water belong to no registered thread.
+  static unsigned n_records() { return ThreadRegistry::high_water(); }
 
   // ---- fast path (identical to SCQ modulo the pair layout) ----------------
 
@@ -607,17 +604,20 @@ class BasicWCQ {
   // unterminated while the slot recycles, and they could re-produce the
   // element at a later rank (a duplicate). This path runs only when an
   // Enq=0 entry is consumed, i.e. once per slow-path enqueue, so the
-  // lookup does not register on the per-op budget.
+  // lookup does not register on the per-op budget. A tid whose chunk is not
+  // installed has no request; the scan skips it and goes on.
   void finalize_request(Handle& me, u64 h) {
     const unsigned self = me.tid_;
     const unsigned n = n_records();
     for (unsigned step = 1; step < n; ++step) {
       const unsigned i = (self + step) % n;
-      std::atomic<u64>& lt = records_[i].local_tail;
+      ThreadRec* r = records_.peek(i);
+      if (r == nullptr) continue;
+      std::atomic<u64>& lt = r->local_tail;
       const u64 cur = lt.load(std::memory_order_acquire);
       if ((cur & kCounterMask) == h) {
         u64 expect = h;  // only a clean (flag-free) value is finalized
-        WCQ_EVENT(kSlowLocal);
+        WCQ_EVENT(kSlowLocal, h, i);
         lt.compare_exchange_strong(expect, h | kFin,
                                    std::memory_order_seq_cst);
         return;
@@ -636,15 +636,17 @@ class BasicWCQ {
     // what keeps the explicit-handle path under the ≤1-lookup budget
     // (DESIGN.md §10). A snapshot taken here may miss a thread that
     // registers mid-window; it is seen one help_delay window later, a
-    // bounded delay, so the helping bound is preserved.
+    // bounded delay, so the helping bound is preserved. A candidate whose
+    // chunk is not installed has no request; the turn passes to the next tid.
     const unsigned n = n_records();
     if (rec.next_tid >= n) rec.next_tid = 0;
-    ThreadRec& thr = records_[rec.next_tid];
-    if (&thr != &rec && thr.pending.load(std::memory_order_acquire)) {
-      if (thr.is_enqueue.load(std::memory_order_acquire)) {
-        help_enqueue(me, thr);
+    ThreadRec* thr = records_.peek(rec.next_tid);
+    if (thr != nullptr && thr != &rec &&
+        thr->pending.load(std::memory_order_acquire)) {
+      if (thr->is_enqueue.load(std::memory_order_acquire)) {
+        help_enqueue(me, *thr);
       } else {
-        help_dequeue(me, thr);
+        help_dequeue(me, *thr);
       }
     }
     rec.next_tid = (rec.next_tid + 1) % n;
@@ -891,8 +893,12 @@ class BasicWCQ {
       }
       // Help the publisher identified by the (tid, generation) tag. The help
       // CAS only fires if the record still holds that generation's data
-      // (deviation 1), which also proves the increment was published.
-      Phase2Rec& p2 = records_[ref_tid(gref)].phase2;
+      // (deviation 1), which also proves the increment was published. The
+      // publisher reached its record through get(), which installed the
+      // chunk before the ref could be stored, so the chunk is visible here.
+      ThreadRec* pub = records_.peek(ref_tid(gref));
+      assert(pub != nullptr && "published phase-2 ref names no record");
+      Phase2Rec& p2 = pub->phase2;
       const u64 s2 = p2.seq2.load(std::memory_order_acquire);
       if ((s2 & kRefSeqMask) == ref_seq(gref)) {
         const u64 laddr = p2.local.load(std::memory_order_acquire);
@@ -929,7 +935,7 @@ class BasicWCQ {
   char pad_h_[kDestructiveRange - sizeof(AtomicPair128)];
   CacheAligned<std::atomic<i64>> threshold_;
   AlignedArray<AtomicPair128> entries_;
-  AlignedArray<ThreadRec> records_;
+  TidChunks<ThreadRec> records_;
 };
 
 // The paper's wCQ: CAS2-based entry updates (x86-64 / AArch64).

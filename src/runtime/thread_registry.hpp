@@ -29,8 +29,9 @@ namespace wcq {
 
 class ThreadRegistry {
  public:
-  // Upper bound on simultaneously-live registered threads. Queues may be
-  // configured with a smaller `max_threads`; they reject tids beyond it.
+  // Upper bound on simultaneously-live registered threads. Queues hold
+  // per-thread state for every tid below it, allocated in chunks of 8 tids
+  // on first use (common/tid_chunks.hpp).
   static constexpr unsigned kMaxThreads = 256;
 
   // Dense id of the calling thread; acquires a slot on first call.

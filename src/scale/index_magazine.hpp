@@ -15,14 +15,17 @@
 //
 // Concurrency shape:
 //  * A magazine is a per-tid block of atomic words: one count word followed
-//    by `capacity` slots, each slot holding kNone or one free index. Blocks
-//    are whole cache lines sized by the *configured* capacity (not a
-//    compile-time maximum), so dense neighboring tids never share a line
-//    and a disabled or small magazine costs little memory.
+//    by `capacity` slots, each slot holding kEmpty (0) or one free index
+//    plus one. Blocks are whole cache lines sized by the *configured*
+//    capacity (not a compile-time maximum), so dense neighboring tids never
+//    share a line and a disabled or small magazine costs little memory.
+//    Blocks live in TidChunks (common/tid_chunks.hpp): a chunk of 8 blocks
+//    is allocated when one of its tids first uses the queue, and a zeroed
+//    block is an empty magazine.
 //  * Only the owning thread stores indices into its slots, so a slot the
 //    owner observed empty stays empty until the owner writes it — puts are
 //    a plain check-then-store (release), no RMW.
-//  * Takes CAS the slot back to kNone (acquire). The owner CASes because
+//  * Takes CAS the slot back to kEmpty (acquire). The owner CASes because
 //    *other* threads may concurrently take too: the reclaim sweep (an
 //    enqueuer that found both its magazine and fq empty steals a cached
 //    index so cached-but-unused indices cannot wedge the queue) and the
@@ -49,6 +52,7 @@
 
 #include "common/align.hpp"
 #include "common/event.hpp"
+#include "common/tid_chunks.hpp"
 #include "runtime/thread_registry.hpp"
 
 namespace wcq {
@@ -64,29 +68,18 @@ class IndexMagazines {
   };
 
   static constexpr std::size_t kMaxSlots = 32;
-  static constexpr u64 kNone = ~u64{0};
 
   // Disabled set: no storage, every operation is a cheap no-op/miss.
-  IndexMagazines() = default;
+  IndexMagazines() : IndexMagazines(0) {}
 
-  // `capacity` == 0 constructs a disabled set. One magazine block per
-  // possible registry tid, sized once at queue construction (metered,
-  // Fig 10): round_up(1 + capacity, 8) atomic words per tid.
-  IndexMagazines(std::size_t capacity, unsigned max_threads)
-      : cap_(capacity < kMaxSlots ? capacity : kMaxSlots) {
-    if (cap_ != 0) {
-      constexpr std::size_t kWordsPerLine = kCacheLine / sizeof(u64);
-      stride_ = AlignedArray<std::atomic<u64>>::round_up(1 + cap_,
-                                                         kWordsPerLine);
-      words_ = AlignedArray<std::atomic<u64>>(max_threads * stride_,
-                                              kCacheLine);
-      for (std::size_t i = 0; i < words_.size(); ++i) {
-        words_[i].store(kNone, std::memory_order_relaxed);
-      }
-      for (unsigned t = 0; t < max_threads; ++t) {
-        count_of(block(t)).store(0, std::memory_order_relaxed);
-      }
-    }
+  // `capacity` == 0 constructs a disabled set. Each tid's block is
+  // round_up(1 + capacity, 8) atomic words (metered, Fig 10); the chunks of
+  // tids below the registry high water are installed now, the rest on
+  // first use.
+  explicit IndexMagazines(std::size_t capacity)
+      : cap_(capacity < kMaxSlots ? capacity : kMaxSlots),
+        blocks_(stride_for(cap_), kCacheLine) {
+    if (enabled()) blocks_.install_below(ThreadRegistry::high_water());
   }
 
   IndexMagazines(const IndexMagazines&) = delete;
@@ -105,10 +98,11 @@ class IndexMagazines {
 
   // The magazine block for a tid, cached once in a queue's per-thread
   // session handle so the owner operations below run with zero registry
-  // lookups. nullptr when magazines are disabled (callers branch on
-  // enabled() anyway). Stable for the queue's lifetime.
-  std::atomic<u64>* block_for(unsigned tid) const {
-    return enabled() && tid < max_threads() ? block(tid) : nullptr;
+  // lookups; installs the tid's chunk on first use. nullptr when magazines
+  // are disabled (callers branch on enabled() anyway). Stable for the
+  // queue's lifetime.
+  std::atomic<u64>* block_for(unsigned tid) {
+    return enabled() ? blocks_.get(tid) : nullptr;
   }
 
   // --- owner operations (the block is the caller's own magazine) ----------
@@ -125,11 +119,11 @@ class IndexMagazines {
   // Park one freed index; false when every slot is full (caller spills).
   bool try_put_at(std::atomic<u64>* m, u64 idx) {
     for (std::size_t i = 0; i < cap_; ++i) {
-      if (slot(m, i).load(std::memory_order_relaxed) == kNone) {
-        // Only the owner stores non-kNone values, so the slot cannot have
+      if (slot(m, i).load(std::memory_order_relaxed) == kEmpty) {
+        // Only the owner stores non-empty values, so the slot cannot have
         // been filled since the check; takes only empty slots out.
         WCQ_EVENT(kMagazinePut);
-        slot(m, i).store(idx, std::memory_order_release);
+        slot(m, i).store(idx + 1, std::memory_order_release);
         count_of(m).fetch_add(1, std::memory_order_relaxed);
         return true;
       }
@@ -154,20 +148,20 @@ class IndexMagazines {
   // --- cross-thread operations --------------------------------------------
 
   // Reclaim sweep: steal one cached index from any magazine but `self`'s.
-  // Bounded: one pass over the registered-tid range. A miss does not prove
+  // Bounded: one pass over the registered-tid range, skipping tids whose
+  // chunk is not installed (they never cached anything). A miss does not prove
   // no index is cached anywhere (an in-flight put/flush can slip past the
   // scan) — that transient is the same class as an index held by an
   // in-flight enqueuer, which the "full" contract already tolerates
   // (DESIGN.md §9). Runs only at the full edge, so its registry lookup is
   // off the steady-state budget.
   bool steal_for(unsigned self, u64& out) {
-    const unsigned hw = ThreadRegistry::high_water();
-    const unsigned n = hw < max_threads() ? hw : max_threads();
+    const unsigned n = ThreadRegistry::high_water();
     for (unsigned t = 0; t < n; ++t) {
       if (t == self) continue;
       WCQ_EVENT(kMagazineSteal);
-      std::atomic<u64>* m = block(t);
-      if (count_hint(m) <= 0) continue;
+      std::atomic<u64>* m = blocks_.peek(t);
+      if (m == nullptr || count_hint(m) <= 0) continue;
       if (take_from(m, out)) return true;
     }
     return false;
@@ -179,47 +173,48 @@ class IndexMagazines {
   // usable cross-thread since takes are CASes). Scans slots directly, not
   // the hint, so a flush cannot miss a slot behind a stale count.
   std::size_t drain_tid(unsigned tid, u64* out, std::size_t n) {
-    if (!enabled() || tid >= max_threads()) return 0;
-    return take_some_from(block(tid), out, n);
+    std::atomic<u64>* m = blocks_.peek(tid);
+    return m == nullptr ? 0 : take_some_from(m, out, n);
   }
 
   // Exclusive-access rewind (the reset path, DESIGN.md §8/§9): empty every
   // magazine. The caller guarantees no concurrent operation and no
   // concurrent exit flush (BoundedQueue serializes both on its flush lock).
-  // Only blocks below the registry high water are touched: every put, steal
-  // and flush acts on the block of a registered tid, and the high water only
-  // grows, so blocks at or above it are still in their constructed state.
+  // Only installed chunks are touched, and they stay installed: every block
+  // ever written lies in one.
   void clear() {
-    const unsigned hw = ThreadRegistry::high_water();
-    const unsigned n = hw < max_threads() ? hw : max_threads();
-    for (unsigned t = 0; t < n; ++t) {
-      std::atomic<u64>* m = block(t);
+    blocks_.for_each([this](std::atomic<u64>* m) {
       for (std::size_t i = 0; i < cap_; ++i) {
-        slot(m, i).store(kNone, std::memory_order_relaxed);
+        slot(m, i).store(kEmpty, std::memory_order_relaxed);
       }
       count_of(m).store(0, std::memory_order_relaxed);
-    }
+    });
   }
 
   // Diagnostic: cached indices across all magazines (exact at quiescence).
   std::size_t cached_total() const {
     std::size_t total = 0;
-    for (unsigned t = 0; t < max_threads(); ++t) {
-      const i64 c = count_hint(block(t));
+    blocks_.for_each([&total](std::atomic<u64>* m) {
+      const i64 c = count_hint(m);
       if (c > 0) total += static_cast<std::size_t>(c);
-    }
+    });
     return total;
   }
 
  private:
+  // Slot value of an empty slot; a full slot holds its index plus one, so a
+  // freshly installed (zeroed) chunk is a set of empty magazines.
+  static constexpr u64 kEmpty = 0;
+
   // Block layout per tid: word 0 is the count, words 1..cap_ the slots.
   // The count shares the owner's hot line — it is touched by the same
   // thread on every put/take, and cross-thread readers (sweep skip) are
   // rare by construction.
-  std::atomic<u64>* block(unsigned tid) const {
-    return const_cast<std::atomic<u64>*>(words_.data()) + tid * stride_;
+  static std::size_t stride_for(std::size_t cap) {
+    constexpr std::size_t kWordsPerLine = kCacheLine / sizeof(u64);
+    return cap == 0 ? 0 : AlignedArray<u64>::round_up(1 + cap, kWordsPerLine);
   }
-  std::atomic<u64>* mine() const { return block(ThreadRegistry::tid()); }
+  std::atomic<u64>* mine() { return block_for(ThreadRegistry::tid()); }
   static std::atomic<u64>& count_of(std::atomic<u64>* m) { return m[0]; }
   static std::atomic<u64>& slot(std::atomic<u64>* m, std::size_t i) {
     return m[1 + i];
@@ -229,20 +224,17 @@ class IndexMagazines {
   static i64 count_hint(std::atomic<u64>* m) {
     return static_cast<i64>(count_of(m).load(std::memory_order_relaxed));
   }
-  unsigned max_threads() const {
-    return stride_ == 0 ? 0u : static_cast<unsigned>(words_.size() / stride_);
-  }
 
   bool take_from(std::atomic<u64>* m, u64& out) {
     for (std::size_t i = 0; i < cap_; ++i) {
       u64 v = slot(m, i).load(std::memory_order_relaxed);
-      if (v == kNone) continue;
+      if (v == kEmpty) continue;
       WCQ_EVENT(kMagazineTake);
-      if (slot(m, i).compare_exchange_strong(v, kNone,
+      if (slot(m, i).compare_exchange_strong(v, kEmpty,
                                              std::memory_order_acquire,
                                              std::memory_order_relaxed)) {
         count_of(m).fetch_sub(1, std::memory_order_relaxed);
-        out = v;
+        out = v - 1;
         return true;
       }
       // Lost the slot to a concurrent taker; keep scanning.
@@ -254,21 +246,20 @@ class IndexMagazines {
     std::size_t got = 0;
     for (std::size_t i = 0; i < cap_ && got < n; ++i) {
       u64 v = slot(m, i).load(std::memory_order_relaxed);
-      if (v == kNone) continue;
+      if (v == kEmpty) continue;
       WCQ_EVENT(kMagazineTake);
-      if (slot(m, i).compare_exchange_strong(v, kNone,
+      if (slot(m, i).compare_exchange_strong(v, kEmpty,
                                              std::memory_order_acquire,
                                              std::memory_order_relaxed)) {
         count_of(m).fetch_sub(1, std::memory_order_relaxed);
-        out[got++] = v;
+        out[got++] = v - 1;
       }
     }
     return got;
   }
 
   std::size_t cap_ = 0;
-  std::size_t stride_ = 0;
-  AlignedArray<std::atomic<u64>> words_;
+  TidChunks<std::atomic<u64>> blocks_;
 };
 
 }  // namespace wcq

@@ -161,6 +161,30 @@ TEST(HandleBasic, WcqRingHandleTidMatches) {
   EXPECT_EQ(q.dequeue(h).value(), 3u);
 }
 
+// Every tid the registry can hand out (up to kMaxThreads - 1) has a ring
+// record and a magazine. Rings used to size their records by a 128-thread
+// default, so a thread registered as tid 200 trapped in handle_for.
+TEST(HandleBasic, TidAboveOneTwentyEightOperates) {
+  constexpr unsigned kTid = 200;
+  static_assert(kTid < ThreadRegistry::kMaxThreads);
+  (void)ThreadRegistry::tid();  // helpers scan [0, high_water): keep it >= 1
+  BoundedQueue<u64> b(typename BoundedQueue<u64>::Options{6});
+  {
+    auto h = b.handle_for(kTid);
+    for (u64 v = 0; v < b.capacity(); ++v) ASSERT_TRUE(b.enqueue(h, v));
+    EXPECT_FALSE(b.enqueue(h, 99)) << "full at exactly capacity()";
+    for (u64 v = 0; v < b.capacity(); ++v) ASSERT_EQ(b.dequeue(h).value(), v);
+    EXPECT_FALSE(b.dequeue(h).has_value());
+  }
+  UnboundedQueue<u64> u(4u);  // 16-element segments: growth and recycling
+  {
+    auto h = u.handle_for(kTid);
+    for (u64 v = 0; v < 100; ++v) ASSERT_TRUE(u.enqueue(h, v));
+    for (u64 v = 0; v < 100; ++v) ASSERT_EQ(u.dequeue(h).value(), v);
+    EXPECT_FALSE(u.dequeue(h).has_value());
+  }
+}
+
 TEST(HandleBasic, ShardedHandleCachesHomeShard) {
   ShardedQueue<u64> q(4, 6);
   auto h = q.acquire();
@@ -487,17 +511,14 @@ TEST(HandleLifetimeDeathTest, QueueOutlivesHandleIsFine) {
   EXPECT_EQ(q.dequeue().value(), 1u);
 }
 
-// A tid past the ring's record array is rejected (trap), same as the
+// A tid the registry can never hand out is rejected (trap), same as the
 // implicit path's documented hard limit.
 TEST(HandleLifetimeDeathTest, RingHandleForOutOfRangeTidTraps) {
   WCQ_SKIP_UNDER_TSAN();
   EXPECT_DEATH(
       {
-        WCQ::Options o;
-        o.order = 4;
-        o.max_threads = 1;
-        WCQ q(o);
-        (void)q.handle_for(1);
+        WCQ q(4u);
+        (void)q.handle_for(ThreadRegistry::kMaxThreads);
       },
       "");
 }

@@ -34,12 +34,12 @@ TEST(IndexMagazineUnit, DisabledSetIsInert) {
   u64 buf[4];
   EXPECT_EQ(none.drain_tid(0, buf, 4), 0u);
 
-  IndexMagazines zero(0, ThreadRegistry::kMaxThreads);
+  IndexMagazines zero(0);
   EXPECT_FALSE(zero.enabled());
 }
 
 TEST(IndexMagazineUnit, PutTakeRoundTrip) {
-  IndexMagazines mags(8, ThreadRegistry::kMaxThreads);
+  IndexMagazines mags(8);
   ASSERT_TRUE(mags.enabled());
   for (u64 i = 0; i < 5; ++i) {
     ASSERT_TRUE(mags.try_put(100 + i));
@@ -54,7 +54,7 @@ TEST(IndexMagazineUnit, PutTakeRoundTrip) {
 }
 
 TEST(IndexMagazineUnit, CapacityBound) {
-  IndexMagazines mags(4, ThreadRegistry::kMaxThreads);
+  IndexMagazines mags(4);
   for (u64 i = 0; i < 4; ++i) ASSERT_TRUE(mags.try_put(i));
   EXPECT_FALSE(mags.try_put(99)) << "a full magazine must reject puts";
   u64 buf[8];
@@ -63,12 +63,12 @@ TEST(IndexMagazineUnit, CapacityBound) {
 }
 
 TEST(IndexMagazineUnit, ConfigCapacityClampsToMaxSlots) {
-  IndexMagazines mags(1000, ThreadRegistry::kMaxThreads);
+  IndexMagazines mags(1000);
   EXPECT_EQ(mags.capacity(), IndexMagazines::kMaxSlots);
 }
 
 TEST(IndexMagazineUnit, StealTakesFromPeerNotSelf) {
-  IndexMagazines mags(4, ThreadRegistry::kMaxThreads);
+  IndexMagazines mags(4);
   // Our own cached indices are not steal targets (steal is the full-edge
   // path that runs after try_take already missed).
   ASSERT_TRUE(mags.try_put(7));
@@ -99,7 +99,7 @@ TEST(IndexMagazineUnit, StealTakesFromPeerNotSelf) {
 }
 
 TEST(IndexMagazineUnit, DrainTidCollectsEverySlot) {
-  IndexMagazines mags(6, ThreadRegistry::kMaxThreads);
+  IndexMagazines mags(6);
   unsigned peer_tid = 0;
   std::thread peer([&] {
     peer_tid = ThreadRegistry::tid();
